@@ -53,13 +53,14 @@ constexpr std::uint64_t kStreamFaults = 0xFA171D05ull;
  */
 constexpr std::uint64_t kStreamRetryJitter = 0xBAC0FFull;
 
-/** A resilient work unit; limit < shots when the dropout lands here. */
+/** A resilient work unit. */
 struct ResilientUnit
 {
     std::size_t member;
     std::uint64_t batch;
+    /** Trials to run: the batch size, cut to the trials before the
+     *  member's dropout when the dropout lands inside this batch. */
     std::uint64_t shots;
-    std::uint64_t limit;
 };
 
 /** What one resilient unit produced across its retry attempts. */
@@ -190,11 +191,11 @@ runResilient(const hw::Device &device, const EdmConfig &config,
                 continue; // replaying a recorded wall-clock cut
             if (plans[m].dropsOut && done >= plans[m].dropoutTrial)
                 continue; // batch lies entirely after the dropout
-            std::uint64_t limit = batch_shots;
+            std::uint64_t shots = batch_shots;
             if (plans[m].dropsOut &&
                 done + batch_shots > plans[m].dropoutTrial)
-                limit = plans[m].dropoutTrial - done;
-            units.push_back(ResilientUnit{m, b, batch_shots, limit});
+                shots = plans[m].dropoutTrial - done;
+            units.push_back(ResilientUnit{m, b, shots});
         }
         next_batch[m] = b;
     }
@@ -263,18 +264,12 @@ runResilient(const hw::Device &device, const EdmConfig &config,
                         Rng unit_rng = node.rng();
                         const sim::Executor &exec =
                             executorFor(unit.member);
-                        if (unit.limit < unit.shots) {
-                            const std::uint64_t limit = unit.limit;
-                            results[u].counts = exec.run(
-                                *member_tapes[unit.member], unit.shots,
-                                unit_rng, [limit](std::uint64_t trial) {
-                                    return trial < limit;
-                                });
-                        } else {
-                            results[u].counts =
-                                exec.run(*member_tapes[unit.member],
-                                         unit.shots, unit_rng);
-                        }
+                        // A dropout-truncated unit runs only the trials
+                        // before the dropout: the first unit.shots
+                        // trials of the full batch's stream.
+                        results[u].counts =
+                            exec.run(*member_tapes[unit.member],
+                                     unit.shots, unit_rng);
                     },
                     res.effectiveClock(),
                     node.child(kStreamRetryJitter));
@@ -413,8 +408,7 @@ runResilient(const hw::Device &device, const EdmConfig &config,
                  done += config.shotBatch, ++b) {
                 const std::uint64_t batch_shots =
                     std::min(config.shotBatch, share - done);
-                extra.push_back(
-                    ResilientUnit{m, b, batch_shots, batch_shots});
+                extra.push_back(ResilientUnit{m, b, batch_shots});
             }
         }
         std::vector<UnitResult> extra_results(extra.size());
@@ -513,12 +507,6 @@ EdmPipeline::run(const circuit::Circuit &logical,
     EnsembleConfig ensemble_config = config_.ensemble;
     ensemble_config.verifyPasses =
         ensemble_config.verifyPasses || config_.verifyPasses;
-    // Compilation shares the execution scheduler: candidate
-    // materialization fans out over the same pool the shot batches
-    // use, with index-assigned slots keeping results bit-identical at
-    // any --jobs value.
-    if (ensemble_config.scheduler == nullptr)
-        ensemble_config.scheduler = scheduler;
     // Fault-aware sizing: when the fault plan predicts probabilistic
     // dropout, tell the builder so it over-provisions K and the
     // ensemble *expected to survive* still has the configured size.

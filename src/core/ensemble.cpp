@@ -68,7 +68,6 @@ EnsembleBuilder::candidates(const circuit::Circuit &logical) const
 {
     transpile::Transpiler compiler(view_, config_.routeCost,
                                    config_.verifyPasses);
-    compiler.setScheduler(config_.scheduler);
     std::shared_ptr<const CompiledProgram> cached;
     if (config_.compileCache != nullptr)
         cached = config_.compileCache->getOrCompile(compiler, logical);
@@ -105,14 +104,9 @@ EnsembleBuilder::candidates(const circuit::Circuit &logical) const
     const transpile::GateTrace trace =
         transpile::EspModel::trace(seed.physical.decomposed());
 
-    // Record building is embarrassingly parallel: each embedding's
-    // relabeling and trace score depend only on immutable shared
-    // state, and every worker writes a pre-assigned slot. The sort
-    // below imposes the canonical total order, so the result is
-    // bit-identical at any --jobs.
-    std::vector<CandidateRecord> records(embeddings.size());
-    auto score = [&](std::size_t idx) {
-        const auto &embedding = embeddings[idx];
+    std::vector<CandidateRecord> records;
+    records.reserve(embeddings.size());
+    for (const auto &embedding : embeddings) {
         // Full physical-to-physical relabeling: used qubits move via
         // the embedding; the rest fill the remaining slots (their
         // placement is irrelevant, no gate touches them).
@@ -138,13 +132,7 @@ EnsembleBuilder::candidates(const circuit::Circuit &logical) const
         rec.usedSet = embedding;
         std::sort(rec.usedSet.begin(), rec.usedSet.end());
         rec.esp = model->espOfTrace(trace, rec.relabel);
-        records[idx] = std::move(rec);
-    };
-    if (config_.scheduler != nullptr) {
-        config_.scheduler->parallelFor(embeddings.size(), score);
-    } else {
-        for (std::size_t idx = 0; idx < embeddings.size(); ++idx)
-            score(idx);
+        records.push_back(std::move(rec));
     }
     std::sort(records.begin(), records.end(), candidateBefore);
 
@@ -159,12 +147,10 @@ EnsembleBuilder::candidates(const circuit::Circuit &logical) const
             survivors.push_back(std::move(rec));
     }
 
-    // Materialize (and verify) only the survivors, fanned out over the
-    // scheduler when one is configured. Each worker writes its
-    // pre-assigned slot, so the output is bit-identical at any --jobs.
-    std::vector<CompiledProgram> out(survivors.size());
-    auto materialize = [&](std::size_t i) {
-        const CandidateRecord &rec = survivors[i];
+    // Materialize (and verify) only the survivors.
+    std::vector<CompiledProgram> out;
+    out.reserve(survivors.size());
+    for (const CandidateRecord &rec : survivors) {
         CompiledProgram member;
         member.physical =
             seed.physical.remapQubits(rec.relabel, topo.numQubits());
@@ -188,13 +174,7 @@ EnsembleBuilder::candidates(const circuit::Circuit &logical) const
             view.region = &view_;
             check::verifyProgram(view);
         }
-        out[i] = std::move(member);
-    };
-    if (config_.scheduler != nullptr) {
-        config_.scheduler->parallelFor(survivors.size(), materialize);
-    } else {
-        for (std::size_t i = 0; i < survivors.size(); ++i)
-            materialize(i);
+        out.push_back(std::move(member));
     }
     return out;
 }

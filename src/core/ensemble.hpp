@@ -20,7 +20,6 @@
 #include "common/rng.hpp"
 #include "hw/device.hpp"
 #include "hw/device_view.hpp"
-#include "runtime/scheduler.hpp"
 #include "transpile/compile_cache.hpp"
 #include "transpile/transpiler.hpp"
 
@@ -62,14 +61,6 @@ struct EnsembleConfig
      * fingerprint, so drifted devices never reuse stale programs.
      */
     transpile::CompileCache *compileCache = nullptr;
-    /**
-     * Optional scheduler for fanning candidate materialization and
-     * verification across worker threads (not owned; must outlive the
-     * builder). Results are written into index-assigned slots, so the
-     * candidate list is bit-identical at every `--jobs` value. Null
-     * means serial.
-     */
-    const runtime::JobScheduler *scheduler = nullptr;
     /**
      * Allowed-region mask: the physical qubits the ensemble may use
      * (multi-programming / reliable-region scoping). Empty means the

@@ -80,18 +80,15 @@ Executor::run(const Circuit &physical, std::uint64_t shots,
 namespace {
 
 /**
- * The trajectory loop, templated on the per-trial continuation gate so
- * the gate-free overload compiles to exactly the unhooked loop (the
- * fault hook costs nothing unless a gate is passed).
+ * The scalar trajectory loop, one state-vector evolution per shot.
  *
  * Every unitary factor comes pre-materialized from the tape: the shot
  * loop applies stored matrices (with the StateVector's structured-
  * matrix fast paths) and never re-derives a gate matrix.
  */
-template <typename Gate>
 stats::Counts
 runShots(const hw::Calibration &cal, const ExecutionTape &tape,
-         std::uint64_t shots, Rng &rng, const Gate &gate)
+         std::uint64_t shots, Rng &rng)
 {
     stats::Counts counts(tape.numClbits);
     StateVector sv(tape.numLocal);
@@ -152,8 +149,6 @@ runShots(const hw::Calibration &cal, const ExecutionTape &tape,
     }
 
     for (std::uint64_t shot = 0; shot < shots; ++shot) {
-        if (!gate(shot))
-            break;
         std::size_t basis;
         if (deterministic) {
             basis = sampleFromCumulative(cumulative, rng);
@@ -376,17 +371,7 @@ Executor::run(const ExecutionTape &tape, std::uint64_t shots,
         return runShotsBatched(device_.calibration(), tape, shots,
                                rng, simBatch_);
     }
-    return runShots(device_.calibration(), tape, shots, rng,
-                    [](std::uint64_t) { return true; });
-}
-
-stats::Counts
-Executor::run(const ExecutionTape &tape, std::uint64_t shots, Rng &rng,
-              const TrialGate &gate) const
-{
-    QEDM_REQUIRE(shots > 0, "shots must be positive");
-    QEDM_REQUIRE(gate != nullptr, "trial gate must be callable");
-    return runShots(device_.calibration(), tape, shots, rng, gate);
+    return runShots(device_.calibration(), tape, shots, rng);
 }
 
 stats::Distribution

@@ -17,6 +17,12 @@
  * physical indices into a dense local register while retaining the
  * physical identities for calibration/noise lookups.
  *
+ * Fault injection lives in the resilience layer: a member that drops
+ * out mid-batch runs only the trials before the dropout. That relies on
+ * a prefix property of both engines: with the same Rng, run(tape, n,
+ * rng) returns the counts of the first n trials of any longer run
+ * (DESIGN.md §11).
+ *
  * Thread safety: every run()/exactDistribution() overload is const and
  * touches only call-local state, so one Executor may be used from many
  * threads concurrently as long as each caller supplies its own Rng.
@@ -29,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
@@ -76,21 +81,6 @@ class Executor
     static constexpr std::size_t kDefaultSimBatch = 64;
     void setSimBatch(std::size_t width) { simBatch_ = width; }
     std::size_t simBatch() const { return simBatch_; }
-
-    /**
-     * Per-trial continuation gate — the resilience layer's fault
-     * hook. The gate is invoked with the 0-based index of the next
-     * trial before it executes; returning false aborts the remaining
-     * trials and the counts of the completed ones are returned (the
-     * "machine died mid-run" semantics qubit-dropout faults need).
-     * The gate-free overloads never touch this path, so execution is
-     * zero-cost when no faults are injected.
-     */
-    using TrialGate = std::function<bool(std::uint64_t)>;
-
-    /** run() with a fault-injection gate deciding trial continuation. */
-    stats::Counts run(const ExecutionTape &tape, std::uint64_t shots,
-                      Rng &rng, const TrialGate &gate) const;
 
     /**
      * Exact output distribution over the classical register via

@@ -112,10 +112,10 @@ struct OnDemandDistanceProvider::Impl
     /**
      * Row fills are guarded by source-sharded locks (src mod
      * kLockShards), not one global mutex: concurrent workers filling
-     * different rows — the common shape once placement search and
-     * ensemble materialization fan out over the scheduler — only
-     * contend when they hash to the same shard, and a worker holding
-     * one shard never blocks Dijkstra work under another. Each row is
+     * different rows — experiment rounds compiling in parallel
+     * against one shared provider — only contend when they hash to
+     * the same shard, and a worker holding one shard never blocks
+     * Dijkstra work under another. Each row is
      * computed exactly once (the shard lock covers its slot's
      * check-and-fill), so results are independent of fill order.
      */

@@ -1,14 +1,12 @@
 #include "transpile/placement_search.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "common/error.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace qedm::transpile {
 namespace {
@@ -86,7 +84,7 @@ signatureDominates(const int *target_sig, int target_n,
     return true;
 }
 
-/** A completed, exactly-scored placement kept by a worker heap. */
+/** A completed, exactly-scored placement kept by the best-K list. */
 struct HeapEntry
 {
     double esp;
@@ -95,7 +93,8 @@ struct HeapEntry
 };
 
 /** The canonical strict total order: placementBefore extended with an
- *  embedding tie-break, so merges never depend on insertion order. */
+ *  embedding tie-break, so the kept list never depends on insertion
+ *  order. */
 bool
 entryBefore(double esp_a, const std::vector<int> &map_a,
             const std::vector<int> &emb_a, double esp_b,
@@ -112,7 +111,7 @@ entryBefore(double esp_a, const std::vector<int> &map_a,
 } // namespace
 
 /**
- * Everything shared and immutable across workers of one search:
+ * Everything immutable across searches against one plan:
  * feasibility bitsets, the matching order with its flattened back
  * edges, suffix bounds, and dense log-score lookup tables. Built once
  * per plan (typically once per circuit) and only read afterwards.
@@ -159,7 +158,7 @@ struct PlacementSearchPlan::Impl
     /** edgeLogTab[e * numEdges(target) + de] = cost.edgeLog(e, de). */
     std::vector<double> edgeLogTab;
 
-    /** Root work items: feasible hosts of order[0], best optimistic
+    /** Root frontier: feasible hosts of order[0], best optimistic
      *  vertex score first (warms the bound early), ties ascending. */
     std::vector<int> rootCandidates;
 
@@ -462,32 +461,6 @@ namespace {
 
 using PlanImpl = PlacementSearchPlan::Impl;
 
-/**
- * The bound every worker prunes against: an atomic-max over the log of
- * each worker's local K-th best score. Any worker's local K-th best is
- * a lower bound on the global K-th best (the union holds at least K
- * placements at least that good), so pruning against a published value
- * — however stale — never drops a true top-K member. Only ever rises.
- */
-class MonotonicBound
-{
-  public:
-    double get() const { return log_.load(std::memory_order_relaxed); }
-
-    void
-    raise(double value)
-    {
-        double cur = log_.load(std::memory_order_relaxed);
-        while (cur < value &&
-               !log_.compare_exchange_weak(cur, value,
-                                           std::memory_order_relaxed))
-            ;
-    }
-
-  private:
-    std::atomic<double> log_{kNegInf};
-};
-
 /** Bounded best-K list kept sorted under the canonical total order;
  *  the worst kept entry is back(). */
 class BoundedBest
@@ -540,19 +513,17 @@ class BoundedBest
 };
 
 /**
- * One search worker: private partial map, private best-K list, and a
- * cached prune threshold refreshed from the shared bound. The serial
- * driver runs every root through one worker (the classic DFS); the
- * parallel driver gives each root work item a fresh worker and merges.
+ * Depth-first search state: partial map, best-K list, and the prune
+ * threshold (the log of the current K-th best score). topKPlacements
+ * walks every root branch through one Worker, in root order.
  */
 class Worker
 {
   public:
     Worker(const PlanImpl &plan, const EmbeddingScorer &scorer,
-           std::size_t k, std::size_t limit, MonotonicBound &bound,
-           PlacementSearchStats *stats)
-        : plan_(plan), scorer_(scorer), limit_(limit), bound_(bound),
-          stats_(stats), best_(k),
+           std::size_t k, std::size_t limit, PlacementSearchStats *stats)
+        : plan_(plan), scorer_(scorer), limit_(limit), stats_(stats),
+          best_(k),
           map_(static_cast<std::size_t>(plan.numPattern), -1),
           used_(static_cast<std::size_t>(plan.numTarget), 0),
           candDelta_(static_cast<std::size_t>(plan.numPattern) *
@@ -570,7 +541,7 @@ class Worker
         completions_ = 0;
         if (stats_ != nullptr)
             ++stats_->nodesVisited;
-        if (plan_.suffixBound[0] < threshold() - kBoundSlack) {
+        if (plan_.suffixBound[0] < threshold_ - kBoundSlack) {
             if (stats_ != nullptr)
                 ++stats_->prunedBound;
             return;
@@ -591,23 +562,15 @@ class Worker
     std::vector<HeapEntry> take() { return best_.take(); }
 
   private:
-    /** Current prune threshold: the worker's own K-th best and the
-     *  shared bound, whichever is tighter. Cheap enough per node — a
-     *  relaxed load and a max — that no log() is ever taken here. */
-    double
-    threshold() const
-    {
-        return std::max(localThr_, bound_.get());
-    }
-
+    /** Re-derive the prune threshold after the best-K list changed;
+     *  the log is taken here, never per node. */
     void
     refreshThreshold()
     {
         if (!best_.full())
             return;
-        localThr_ =
+        threshold_ =
             std::log(std::max(best_.worstEsp(), kEspLogFloor));
-        bound_.raise(localThr_);
     }
 
     void
@@ -619,7 +582,7 @@ class Worker
         // Leaf bound: partial (+ slack) upper-bounds the exact log
         // score — isolated-qubit factors only lower it — so a leaf
         // that cannot reach the K-th best skips the exact scorer.
-        if (partial < threshold() - kBoundSlack)
+        if (partial < threshold_ - kBoundSlack)
             return;
         std::vector<int> canonical_map;
         double esp = 0.0;
@@ -764,7 +727,7 @@ class Worker
             avail = plan_.depthBest[depth];
         }
         if (partial + avail + plan_.suffixBound[depth + 1] <
-            threshold() - kBoundSlack) {
+            threshold_ - kBoundSlack) {
             if (stats_ != nullptr)
                 ++stats_->prunedBound;
             return;
@@ -791,7 +754,6 @@ class Worker
     const PlanImpl &plan_;
     const EmbeddingScorer &scorer_;
     std::size_t limit_;
-    MonotonicBound &bound_;
     PlacementSearchStats *stats_;
     BoundedBest best_;
     std::vector<int> map_;
@@ -799,7 +761,7 @@ class Worker
     /** Depth-sliced candidate scratch (numPattern x numTarget). */
     std::vector<double> candDelta_;
     std::vector<int> candHost_;
-    double localThr_ = kNegInf;
+    double threshold_ = kNegInf;
     std::uint64_t completions_ = 0;
 };
 
@@ -902,61 +864,16 @@ PlacementSearchPlan::operator=(PlacementSearchPlan &&) noexcept =
 std::vector<ScoredEmbedding>
 topKPlacements(const PlacementSearchPlan &plan,
                const EmbeddingScorer &scorer, std::size_t k,
-               std::size_t limit, PlacementSearchStats *stats,
-               const runtime::JobScheduler *scheduler)
+               std::size_t limit, PlacementSearchStats *stats)
 {
     QEDM_REQUIRE(k > 0, "top-K placement search needs k >= 1");
     QEDM_REQUIRE(limit > 0, "enumeration limit must be positive");
 
     const PlanImpl &impl = *plan.impl_;
-    MonotonicBound bound;
-    const std::size_t roots = impl.rootCandidates.size();
-
-    if (scheduler == nullptr || !scheduler->parallel() || roots <= 1) {
-        // Sequential: one worker walks every root branch in order,
-        // carrying its best-K list (the classic DFS shape).
-        Worker worker(impl, scorer, k, limit, bound, stats);
-        for (int t : impl.rootCandidates)
-            worker.searchRoot(t);
-        return toScored(worker.take());
-    }
-
-    // Parallel: one work item per root-frontier host. Workers write
-    // pre-assigned slots; stats sum in item order after the fan-out.
-    std::vector<std::vector<HeapEntry>> slots(roots);
-    std::vector<PlacementSearchStats> item_stats(
-        stats != nullptr ? roots : 0);
-    scheduler->parallelFor(roots, [&](std::size_t i) {
-        Worker worker(impl, scorer, k, limit, bound,
-                      stats != nullptr ? &item_stats[i] : nullptr);
-        worker.searchRoot(impl.rootCandidates[i]);
-        slots[i] = worker.take();
-    });
-    if (stats != nullptr) {
-        for (const PlacementSearchStats &s : item_stats) {
-            stats->nodesVisited += s.nodesVisited;
-            stats->completions += s.completions;
-            stats->prunedBound += s.prunedBound;
-            stats->prunedSignature += s.prunedSignature;
-        }
-    }
-
-    // Deterministic merge: every surviving entry sorted under the
-    // canonical total order, truncated to K — bit-identical to the
-    // sequential worker's list regardless of bound-publication timing.
-    std::vector<HeapEntry> merged;
-    for (auto &slot : slots) {
-        for (HeapEntry &entry : slot)
-            merged.push_back(std::move(entry));
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const HeapEntry &a, const HeapEntry &b) {
-                  return entryBefore(a.esp, a.map, a.embedding, b.esp,
-                                     b.map, b.embedding);
-              });
-    if (merged.size() > k)
-        merged.resize(k);
-    return toScored(std::move(merged));
+    Worker worker(impl, scorer, k, limit, stats);
+    for (int t : impl.rootCandidates)
+        worker.searchRoot(t);
+    return toScored(worker.take());
 }
 
 std::vector<ScoredEmbedding>
@@ -964,11 +881,10 @@ topKPlacements(const hw::Topology &pattern,
                const PlacementCostModel &cost_model,
                const EmbeddingScorer &scorer, std::size_t k,
                std::size_t limit, PlacementSearchStats *stats,
-               const std::vector<bool> *allowed,
-               const runtime::JobScheduler *scheduler)
+               const std::vector<bool> *allowed)
 {
     const PlacementSearchPlan plan(pattern, cost_model, allowed);
-    return topKPlacements(plan, scorer, k, limit, stats, scheduler);
+    return topKPlacements(plan, scorer, k, limit, stats);
 }
 
 } // namespace qedm::transpile

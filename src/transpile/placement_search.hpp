@@ -26,22 +26,16 @@
  * float drift between the additive bound and the exact product can
  * never prune a placement the exact ordering would keep.
  *
- * Parallel search (DESIGN.md §18): the root frontier — the feasible
- * hosts of the first pattern vertex in the matching order — is
- * partitioned into one work item per root host and fanned out over a
- * runtime::JobScheduler. Workers keep private top-K heaps and share
- * the pruning bound through a monotonic atomic: each worker publishes
- * the log of its own K-th best score, which is a lower bound on the
- * global K-th best, so a stale read only prunes less and admissibility
- * is schedule-independent. The per-worker heaps are merged under the
- * canonical total order, so the result is bit-identical at every
- * --jobs value (and to the sequential search).
+ * The search is serial (DESIGN.md §18): one depth-first walk over the
+ * root frontier — the feasible hosts of the first pattern vertex in
+ * the matching order — pruning against its own K-th best score.
+ * Parallelism lives above the compile path, in the experiment's round
+ * fan-out and the pipeline's member fan-out.
  *
  * Determinism contract: results are ordered by descending ESP with
  * exact ties broken lexicographically on the mapping vector and then
  * on the embedding, a strict total order — the top-K set and its
- * order are independent of enumeration order, thread count, and
- * pruning strength.
+ * order are independent of enumeration order and pruning strength.
  */
 
 #pragma once
@@ -54,10 +48,6 @@
 
 #include "hw/topology.hpp"
 #include "transpile/esp_model.hpp"
-
-namespace qedm::runtime {
-class JobScheduler;
-}
 
 namespace qedm::transpile {
 
@@ -81,13 +71,8 @@ struct ScoredEmbedding
 };
 
 /**
- * Search effort counters (observability for benches and tests).
- *
- * Sequential searches count exactly and reproducibly. Parallel
- * searches sum per-worker counters in work-item order, so the totals
- * are well-defined but depend on bound-publication timing between
- * workers — effort counters may differ run to run at jobs > 1 even
- * though the returned placements never do.
+ * Search effort counters (observability for benches and tests). The
+ * search is serial, so the counts are exact and reproducible.
  */
 struct PlacementSearchStats
 {
@@ -170,9 +155,7 @@ class PlacementCostModel
  * Exact scorer for one completed embedding: returns the canonical
  * mapping vector and the exact (product-form) ESP. Callers close over
  * whatever completion logic they need (isolated-qubit placement, full
- * physical relabeling, ...). Must be safe to call concurrently when a
- * parallel scheduler is passed to topKPlacements — pure functions of
- * the embedding and immutable captured state qualify.
+ * physical relabeling, ...).
  */
 using EmbeddingScorer =
     std::function<void(const std::vector<int> &embedding,
@@ -188,17 +171,11 @@ class PlacementSearchPlan;
  *
  * @param limit blowup guard: at most @p limit completed embeddings
  *        are explored *per root branch* (per root-frontier host of
- *        the first pattern vertex). The per-branch scope makes the
- *        cap schedule-independent, so a binding limit prunes the same
- *        subtrees at every --jobs value.
- * @param stats optional search-effort counters (see
- *        PlacementSearchStats for parallel-run semantics)
+ *        the first pattern vertex).
+ * @param stats optional search-effort counters
  * @param allowed optional target-qubit mask; the search only maps
  *        pattern vertices onto allowed targets. nullptr (default)
  *        follows the exact unmasked enumeration and pruning order.
- * @param scheduler optional parallel fan-out; nullptr or jobs == 1
- *        searches sequentially. The returned placements are
- *        bit-identical either way.
  */
 std::vector<ScoredEmbedding>
 topKPlacements(const hw::Topology &pattern,
@@ -206,8 +183,7 @@ topKPlacements(const hw::Topology &pattern,
                const EmbeddingScorer &scorer, std::size_t k,
                std::size_t limit = 100000,
                PlacementSearchStats *stats = nullptr,
-               const std::vector<bool> *allowed = nullptr,
-               const runtime::JobScheduler *scheduler = nullptr);
+               const std::vector<bool> *allowed = nullptr);
 
 /**
  * Precompiled search state for one (pattern, cost model, mask)
@@ -247,8 +223,7 @@ class PlacementSearchPlan
     friend std::vector<ScoredEmbedding>
     topKPlacements(const PlacementSearchPlan &plan,
                    const EmbeddingScorer &scorer, std::size_t k,
-                   std::size_t limit, PlacementSearchStats *stats,
-                   const runtime::JobScheduler *scheduler);
+                   std::size_t limit, PlacementSearchStats *stats);
 };
 
 /**
@@ -260,7 +235,6 @@ std::vector<ScoredEmbedding>
 topKPlacements(const PlacementSearchPlan &plan,
                const EmbeddingScorer &scorer, std::size_t k,
                std::size_t limit = 100000,
-               PlacementSearchStats *stats = nullptr,
-               const runtime::JobScheduler *scheduler = nullptr);
+               PlacementSearchStats *stats = nullptr);
 
 } // namespace qedm::transpile

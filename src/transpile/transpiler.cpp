@@ -56,7 +56,6 @@ Transpiler::runPasses(const circuit::Circuit &logical,
         passes.emplace_back(
             "place", [this](CompileContext &ctx, PassMetadata &meta) {
                 Placer placer(view_);
-                placer.setScheduler(scheduler_);
                 ctx.initialMap = placer.place(*ctx.logical);
                 meta.metrics["placedQubits"] =
                     static_cast<double>(ctx.initialMap.size());

@@ -32,10 +32,6 @@
 #include "hw/device_view.hpp"
 #include "transpile/router.hpp"
 
-namespace qedm::runtime {
-class JobScheduler;
-}
-
 namespace qedm::transpile {
 
 /** A compiled executable and its compile-time metadata. */
@@ -124,18 +120,6 @@ class Transpiler
     /** Enable/disable the post-compile verifier pass. */
     void setVerify(bool verify) { verify_ = verify; }
 
-    /**
-     * Attach a job scheduler so the place pass fans its placement
-     * search out in parallel (bit-identical results at every --jobs;
-     * an operational knob, never part of compile fingerprints). The
-     * caller keeps @p scheduler alive for the transpiler's lifetime;
-     * nullptr (the default) compiles sequentially.
-     */
-    void setScheduler(const runtime::JobScheduler *scheduler)
-    {
-        scheduler_ = scheduler;
-    }
-
   private:
     CompileTrace
     runPasses(const circuit::Circuit &logical,
@@ -144,7 +128,6 @@ class Transpiler
     hw::DeviceView view_;
     RouteCost cost_;
     bool verify_;
-    const runtime::JobScheduler *scheduler_ = nullptr;
 };
 
 } // namespace qedm::transpile

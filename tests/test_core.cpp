@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "benchmarks/benchmarks.hpp"
 #include "common/error.hpp"
@@ -15,7 +17,6 @@
 #include "core/ensemble.hpp"
 #include "core/experiment.hpp"
 #include "hw/device.hpp"
-#include "runtime/scheduler.hpp"
 #include "sim/executor.hpp"
 #include "stats/metrics.hpp"
 
@@ -84,15 +85,29 @@ TEST(EnsembleBuilder, CandidatesRespectCoupling)
     }
 }
 
+/** A heavy-hex lattice small enough for physical-circuit
+ *  materialization (64-qubit circuit cap). */
+hw::Device
+heavyHex27Device()
+{
+    return hw::Device::synthetic("heavy-hex-27",
+                                 hw::Topology::heavyHex27(),
+                                 hw::CalibrationSpec{}, hw::NoiseSpec{},
+                                 7);
+}
+
 TEST(EnsembleBuilder, BuildReturnsK)
 {
-    const hw::Device device = testDevice();
-    for (int k : {1, 2, 4, 6}) {
-        EnsembleConfig config;
-        config.size = k;
-        const EnsembleBuilder builder(device, config);
-        const auto members = builder.build(benchmarks::bv6().circuit);
-        EXPECT_EQ(static_cast<int>(members.size()), k);
+    for (const hw::Device &device : {testDevice(), heavyHex27Device()}) {
+        for (int k : {1, 2, 4, 6}) {
+            EnsembleConfig config;
+            config.size = k;
+            const EnsembleBuilder builder(device, config);
+            const auto members =
+                builder.build(benchmarks::bv6().circuit);
+            EXPECT_EQ(static_cast<int>(members.size()), k)
+                << device.name();
+        }
     }
 }
 
@@ -129,63 +144,6 @@ TEST(EnsembleBuilder, OverlapCapForcesDistinctRegions)
         return worst;
     };
     EXPECT_LT(max_shared(tight), max_shared(loose));
-}
-
-TEST(EnsembleBuilder, ParallelCandidatesBitIdenticalToSerial)
-{
-    // Fanning member materialization over the scheduler must be
-    // bit-identical to the serial path: workers write pre-assigned
-    // slots, so thread count never reorders or perturbs output.
-    const hw::Device device = testDevice();
-    const auto bench = benchmarks::bv6();
-    const EnsembleBuilder serial(device);
-    const auto expected = serial.candidates(bench.circuit);
-
-    const runtime::JobScheduler pool(4);
-    EnsembleConfig config;
-    config.scheduler = &pool;
-    const EnsembleBuilder parallel(device, config);
-    const auto got = parallel.candidates(bench.circuit);
-
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].esp, expected[i].esp) << "i=" << i;
-        EXPECT_EQ(got[i].initialMap, expected[i].initialMap)
-            << "i=" << i;
-        EXPECT_EQ(got[i].finalMap, expected[i].finalMap) << "i=" << i;
-        EXPECT_EQ(got[i].swapCount, expected[i].swapCount)
-            << "i=" << i;
-        ASSERT_EQ(got[i].physical.gates().size(),
-                  expected[i].physical.gates().size())
-            << "i=" << i;
-        for (std::size_t g = 0; g < got[i].physical.gates().size();
-             ++g) {
-            EXPECT_EQ(got[i].physical.gates()[g].kind,
-                      expected[i].physical.gates()[g].kind);
-            EXPECT_EQ(got[i].physical.gates()[g].qubits,
-                      expected[i].physical.gates()[g].qubits);
-        }
-    }
-}
-
-TEST(EnsembleBuilder, ParallelBuildBitIdenticalToSerial)
-{
-    const hw::Device device = testDevice();
-    const auto bench = benchmarks::bv6();
-    const auto expected = EnsembleBuilder(device).build(bench.circuit);
-
-    const runtime::JobScheduler pool(4);
-    EnsembleConfig config;
-    config.scheduler = &pool;
-    const auto got =
-        EnsembleBuilder(device, config).build(bench.circuit);
-
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].esp, expected[i].esp) << "i=" << i;
-        EXPECT_EQ(got[i].initialMap, expected[i].initialMap)
-            << "i=" << i;
-    }
 }
 
 TEST(EnsembleBuilder, EqualEspCandidatesOrderLexicographically)
@@ -467,17 +425,29 @@ TEST(EnsembleBuilder, EmptyRegionIsBitIdenticalToNoRegion)
 
 TEST(EnsembleBuilder, RegionConfinesEveryMember)
 {
-    const hw::Device device = testDevice();
-    EnsembleConfig config;
-    config.region = {0, 1, 2, 3, 4, 5, 6, 13, 12, 11};
-    config.verifyPasses = true; // MappingChecker enforces the region
-    const EnsembleBuilder builder(device, config);
-    const auto members = builder.build(benchmarks::bv6().circuit);
-    ASSERT_FALSE(members.empty());
-    for (const auto &member : members) {
-        for (int q : member.usedQubits())
-            EXPECT_TRUE(builder.view().allowed(q))
-                << "member uses qubit " << q << " outside the region";
+    std::vector<int> hex_region;
+    for (int q = 0; q < 20; ++q)
+        hex_region.push_back(q);
+    const std::vector<std::pair<hw::Device, std::vector<int>>> inputs = {
+        {testDevice(), {0, 1, 2, 3, 4, 5, 6, 13, 12, 11}},
+        {heavyHex27Device(), hex_region},
+    };
+    for (const auto &[device, region] : inputs) {
+        EnsembleConfig config;
+        config.region = region;
+        config.verifyPasses = true; // MappingChecker enforces the region
+        const EnsembleBuilder builder(device, config);
+        const auto logical = benchmarks::bv6().circuit;
+        for (const auto &members :
+             {builder.candidates(logical), builder.build(logical)}) {
+            ASSERT_FALSE(members.empty()) << device.name();
+            for (const auto &member : members) {
+                for (int q : member.usedQubits())
+                    EXPECT_TRUE(builder.view().allowed(q))
+                        << device.name() << ": member uses qubit " << q
+                        << " outside the region";
+            }
+        }
     }
 }
 

@@ -26,8 +26,6 @@
 #include "runtime/clock.hpp"
 #include "runtime/retry.hpp"
 #include "runtime/watchdog.hpp"
-#include "sim/execution_tape.hpp"
-#include "sim/executor.hpp"
 
 namespace qedm {
 namespace {
@@ -337,38 +335,6 @@ TEST(FaultInjectorTest, RejectsInvalidConfig)
     FaultConfig slow;
     slow.slowFactor = 0.5;
     EXPECT_THROW(FaultInjector(slow, SeedSequence(1)), UserError);
-}
-
-// ---------------------------------------------------------------------
-// Executor trial gate (the mid-batch dropout hook).
-
-TEST(ExecutorGateTest, GateTruncatesTrialCount)
-{
-    const hw::Device device = hw::Device::melbourne(2);
-    const auto program =
-        core::EnsembleBuilder(device).build(benchmarks::bv6().circuit)
-            .front();
-    const auto tape = sim::ExecutionTape::build(device, program.physical);
-    const sim::Executor executor(device);
-    Rng rng(9);
-    const auto counts = executor.run(
-        tape, 100, rng, [](std::uint64_t trial) { return trial < 5; });
-    EXPECT_EQ(counts.total(), 5u);
-}
-
-TEST(ExecutorGateTest, AlwaysTrueGateMatchesGateFreePath)
-{
-    const hw::Device device = hw::Device::melbourne(2);
-    const auto program =
-        core::EnsembleBuilder(device).build(benchmarks::bv6().circuit)
-            .front();
-    const auto tape = sim::ExecutionTape::build(device, program.physical);
-    const sim::Executor executor(device);
-    Rng a(9), b(9);
-    const auto plain = executor.run(tape, 64, a);
-    const auto gated =
-        executor.run(tape, 64, b, [](std::uint64_t) { return true; });
-    EXPECT_EQ(plain.entries(), gated.entries());
 }
 
 // ---------------------------------------------------------------------

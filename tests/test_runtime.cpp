@@ -229,36 +229,48 @@ TEST(RuntimeDeterminism, PipelineIdenticalAcrossJobs)
 }
 
 core::ExperimentSummary
-runExperimentAtJobs(int jobs)
+runExperimentAtJobs(int jobs, bool verify)
 {
     const hw::Device device = hw::Device::melbourne(2);
     core::ExperimentConfig config;
     config.rounds = 3;
     config.totalShots = 2048;
     config.jobs = jobs;
+    config.verifyPasses = verify;
     return core::runExperiment(device, benchmarks::bv6(), config, 11);
 }
 
 TEST(RuntimeDeterminism, ExperimentIdenticalAcrossJobs)
 {
-    const auto seq = runExperimentAtJobs(1);
-    const auto par = runExperimentAtJobs(8);
-
-    ASSERT_EQ(seq.rounds.size(), par.rounds.size());
-    for (std::size_t r = 0; r < seq.rounds.size(); ++r) {
-        EXPECT_EQ(seq.rounds[r].edm.ist, par.rounds[r].edm.ist);
-        EXPECT_EQ(seq.rounds[r].edm.pst, par.rounds[r].edm.pst);
-        EXPECT_EQ(seq.rounds[r].wedm.ist, par.rounds[r].wedm.ist);
-        EXPECT_EQ(seq.rounds[r].wedm.pst, par.rounds[r].wedm.pst);
-        EXPECT_EQ(seq.rounds[r].baselineEst.ist,
-                  par.rounds[r].baselineEst.ist);
-        EXPECT_EQ(seq.rounds[r].baselinePost.ist,
-                  par.rounds[r].baselinePost.ist);
+    // With the verifier on, every round's compile and candidate
+    // checks run inside the parallel round fan-out.
+    for (const bool verify : {false, true}) {
+        const auto seq = runExperimentAtJobs(1, verify);
+        for (const int jobs : {4, 8}) {
+            const auto par = runExperimentAtJobs(jobs, verify);
+            SCOPED_TRACE(testing::Message()
+                         << "verify=" << verify << " jobs=" << jobs);
+            ASSERT_EQ(seq.rounds.size(), par.rounds.size());
+            for (std::size_t r = 0; r < seq.rounds.size(); ++r) {
+                EXPECT_EQ(seq.rounds[r].edm.ist, par.rounds[r].edm.ist);
+                EXPECT_EQ(seq.rounds[r].edm.pst, par.rounds[r].edm.pst);
+                EXPECT_EQ(seq.rounds[r].wedm.ist,
+                          par.rounds[r].wedm.ist);
+                EXPECT_EQ(seq.rounds[r].wedm.pst,
+                          par.rounds[r].wedm.pst);
+                EXPECT_EQ(seq.rounds[r].baselineEst.ist,
+                          par.rounds[r].baselineEst.ist);
+                EXPECT_EQ(seq.rounds[r].baselinePost.ist,
+                          par.rounds[r].baselinePost.ist);
+            }
+            EXPECT_EQ(seq.median.edm.ist, par.median.edm.ist);
+            EXPECT_EQ(seq.median.wedm.ist, par.median.wedm.ist);
+            EXPECT_EQ(seq.median.baselineEst.pst,
+                      par.median.baselineEst.pst);
+            EXPECT_EQ(seq.median.baselinePost.pst,
+                      par.median.baselinePost.pst);
+        }
     }
-    EXPECT_EQ(seq.median.edm.ist, par.median.edm.ist);
-    EXPECT_EQ(seq.median.wedm.ist, par.median.wedm.ist);
-    EXPECT_EQ(seq.median.baselineEst.pst, par.median.baselineEst.pst);
-    EXPECT_EQ(seq.median.baselinePost.pst, par.median.baselinePost.pst);
 }
 
 TEST(RuntimeDeterminism, ExplicitStreamMatchesRngEntryPoint)

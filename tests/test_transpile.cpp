@@ -502,31 +502,71 @@ TEST(TopPlacements, GoldenQaoa7PathMelbourne)
     EXPECT_EQ(top[3].map, (std::vector{2, 3, 4, 10, 9, 8, 7}));
 }
 
+std::vector<int>
+firstQubits(int n)
+{
+    std::vector<int> qubits;
+    for (int q = 0; q < n; ++q)
+        qubits.push_back(q);
+    return qubits;
+}
+
 TEST(TopPlacements, MatchesRankedEmbeddingsHead)
 {
     // Bound pruning must be lossless: for every K the branch-and-bound
     // result equals the head of the exhaustive materialize-then-sort
-    // path, map for map and bit for bit.
-    const hw::Device device = hw::Device::melbourne(2);
-    const Placer placer(device);
-    const std::vector<Circuit> circuits = {
-        benchmarks::qaoa5().circuit,
-        benchmarks::qaoaMaxcutPath(6).circuit,
-        benchmarks::qaoa6().circuit,
+    // path, map for map and bit for bit. The inputs span both sides of
+    // the dense-distance threshold (melbourne at 14 qubits, heavy-hex
+    // at 127) and region-masked searches on each.
+    const hw::Device melbourne = hw::Device::melbourne(2);
+    const hw::Device hex127 = hw::Device::synthetic(
+        "heavy-hex-127", hw::Topology::heavyHex127(),
+        hw::CalibrationSpec{}, hw::NoiseSpec{}, 7);
+    struct Case
+    {
+        hw::DeviceView view;
+        Circuit circuit;
+        std::vector<std::size_t> ks;
     };
-    for (std::size_t c = 0; c < circuits.size(); ++c) {
-        const auto ranked = placer.rankedEmbeddings(circuits[c]);
-        ASSERT_FALSE(ranked.empty()) << "circuit " << c;
-        for (std::size_t k : {std::size_t{1}, std::size_t{3},
-                              std::size_t{8}, ranked.size() + 5}) {
-            const auto top = placer.topPlacements(circuits[c], k);
+    const std::vector<std::size_t> small_ks = {1, 3, 8};
+    const std::vector<Case> cases = {
+        {hw::DeviceView(melbourne), benchmarks::qaoa5().circuit,
+         small_ks},
+        {hw::DeviceView(melbourne),
+         benchmarks::qaoaMaxcutPath(6).circuit, small_ks},
+        {hw::DeviceView(melbourne), benchmarks::qaoa6().circuit,
+         small_ks},
+        {hw::DeviceView(melbourne, firstQubits(10)),
+         benchmarks::qaoaMaxcutPath(5).circuit, {4}},
+        {hw::DeviceView(hex127), benchmarks::qaoaMaxcutPath(7).circuit,
+         {4}},
+        {hw::DeviceView(hex127), benchmarks::qaoaMaxcutPath(5).circuit,
+         {16}},
+        {hw::DeviceView(hex127, firstQubits(60)),
+         benchmarks::qaoaMaxcutPath(5).circuit, {4}},
+    };
+    constexpr std::size_t kRankedLimit = 20000;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const Placer placer(cases[c].view);
+        const auto ranked =
+            placer.rankedEmbeddings(cases[c].circuit, kRankedLimit);
+        ASSERT_FALSE(ranked.empty()) << "case " << c;
+        // The reference must be the whole embedding list.
+        ASSERT_LT(ranked.size(), kRankedLimit) << "case " << c;
+        std::vector<std::size_t> ks = cases[c].ks;
+        ks.push_back(ranked.size() + 5);
+        for (const std::size_t k : ks) {
+            const auto top = placer.topPlacements(cases[c].circuit, k);
             ASSERT_EQ(top.size(), std::min(k, ranked.size()))
-                << "circuit " << c << " k=" << k;
+                << "case " << c << " k=" << k;
             for (std::size_t i = 0; i < top.size(); ++i) {
                 EXPECT_EQ(top[i].esp, ranked[i].esp)
-                    << "circuit " << c << " k=" << k << " i=" << i;
+                    << "case " << c << " k=" << k << " i=" << i;
                 EXPECT_EQ(top[i].map, ranked[i].map)
-                    << "circuit " << c << " k=" << k << " i=" << i;
+                    << "case " << c << " k=" << k << " i=" << i;
+                for (const int p : top[i].map)
+                    EXPECT_TRUE(cases[c].view.allowed(p))
+                        << "case " << c << " qubit " << p;
             }
         }
     }

@@ -72,9 +72,11 @@
  * corrupt or mismatched journal).
  */
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -210,16 +212,29 @@ parseDouble(const std::string &flag, const std::string &value)
     return parsed;
 }
 
-/** Parse one non-negative integer with a flag-naming error. */
+/** Parse one non-negative integer no larger than @p max, with a
+ *  flag-naming error. */
 long
-parseCount(const std::string &flag, const std::string &value)
+parseCount(const std::string &flag, const std::string &value,
+           long max = std::numeric_limits<long>::max())
 {
     char *end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || parsed < 0)
+    if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+        parsed < 0 || parsed > max)
         throw UserError(flag + " expects a non-negative integer, got `" +
                         value + "`");
     return parsed;
+}
+
+/** parseCount for flags stored as int: rejects values past INT_MAX
+ *  instead of truncating them. */
+int
+parseInt(const std::string &flag, const std::string &value)
+{
+    return static_cast<int>(
+        parseCount(flag, value, std::numeric_limits<int>::max()));
 }
 
 /** Parse a `--region` spec: a comma list of physical qubit indices. */
@@ -236,8 +251,7 @@ parseRegionSpec(const std::string &spec)
         start = comma + 1;
         if (entry.empty())
             continue;
-        region.push_back(
-            static_cast<int>(parseCount("--region", entry)));
+        region.push_back(parseInt("--region", entry));
     }
     if (region.empty())
         throw UserError("--region expects at least one qubit index");
@@ -254,8 +268,7 @@ parseRegionFile(const std::string &path)
     std::vector<int> region;
     std::string token;
     while (in >> token) {
-        region.push_back(
-            static_cast<int>(parseCount("--region-file", token)));
+        region.push_back(parseInt("--region-file", token));
     }
     if (region.empty())
         throw UserError("--region-file `" + path +
@@ -478,8 +491,7 @@ main(int argc, char **argv)
                 continue;
             }
             if (arg == "--jobs") {
-                jobs = static_cast<int>(
-                    parseCount("--jobs", flagValue(i)));
+                jobs = parseInt("--jobs", flagValue(i));
             } else if (arg == "--sim-batch") {
                 sim_batch = parseCount("--sim-batch", flagValue(i));
             } else if (arg == "--region") {
@@ -490,11 +502,10 @@ main(int argc, char **argv)
                 resilience.faults = parseFaultSpec(flagValue(i));
             } else if (arg == "--fail-member") {
                 resilience.faults.forcedDropouts.push_back(
-                    static_cast<int>(
-                        parseCount("--fail-member", flagValue(i))));
+                    parseInt("--fail-member", flagValue(i)));
             } else if (arg == "--retry-max") {
-                resilience.retryMax = static_cast<int>(
-                    parseCount("--retry-max", flagValue(i)));
+                resilience.retryMax =
+                    parseInt("--retry-max", flagValue(i));
             } else if (arg == "--member-deadline-ms") {
                 resilience.memberDeadlineMs =
                     parseDouble("--member-deadline-ms", flagValue(i));

@@ -39,7 +39,9 @@
 #include "core/experiment.hpp"
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
+#include "sim/execution_tape.hpp"
 #include "sim/executor.hpp"
+#include "sim/trajectories.hpp"
 #include "sim/statevector.hpp"
 #include "transpile/placer.hpp"
 #include "transpile/router.hpp"
@@ -87,13 +89,14 @@ BM_NoisyShotsBv6(benchmark::State &state)
     const transpile::Transpiler compiler(device);
     const auto program =
         compiler.compile(benchmarks::bv6().circuit);
-    const sim::Executor exec(device);
+    const auto tape = sim::ExecutionTape::build(device, program.physical);
     Rng rng(1);
     const std::uint64_t shots =
         static_cast<std::uint64_t>(state.range(0));
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            exec.run(program.physical, shots, rng));
+        benchmark::DoNotOptimize(sim::runTrajectories(
+            device.calibration(), tape, shots, rng,
+            sim::Executor::kDefaultSimBatch));
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(shots));
@@ -316,7 +319,8 @@ calibrationNs()
 /**
  * Sim-kernel sweep over the hot paths guarded by CI: statevector
  * butterfly/diagonal/permutation kernels, Kraus sampling, the noisy
- * and deterministic shot loops, and exact density-matrix simulation.
+ * and deterministic trajectory shot loops, exact density-matrix
+ * simulation, and exact-table sampling through Executor::run.
  * Emits one JSON object per line to BENCH_sim.json.
  */
 void
@@ -391,19 +395,29 @@ runSimKernelSweep()
                                 20, 3));
     }
 
-    // Shot loops on compiled bv-6 (the guarded end-to-end paths).
+    // Shot loops on compiled bv-6 (the guarded end-to-end paths). The
+    // trajectory rows call the trajectory entry point on a prebuilt
+    // tape: Executor::run samples a 7-qubit tape from its exact table,
+    // so these rows keep timing the engines that serve larger tapes.
     {
         const hw::Device device = hw::Device::melbourne(2);
         const transpile::Transpiler compiler(device);
         const auto program =
             compiler.compile(benchmarks::bv6().circuit);
+        const auto tape =
+            sim::ExecutionTape::build(device, program.physical);
         const sim::Executor exec(device);
         Rng rng(1);
+        const auto trajectories = [&](std::uint64_t shots,
+                                      std::size_t width) {
+            return sim::runTrajectories(device.calibration(), tape,
+                                        shots, rng, width);
+        };
         emit("noisy_shots_bv6_1024",
              timeBestNs(
                  [&] {
-                     benchmark::DoNotOptimize(
-                         exec.run(program.physical, 1024, rng));
+                     benchmark::DoNotOptimize(trajectories(
+                         1024, sim::Executor::kDefaultSimBatch));
                  },
                  5));
         emit("exact_bv6", timeBestNs(
@@ -412,7 +426,7 @@ runSimKernelSweep()
                                       exec.exactDistribution(
                                           program.physical));
                               },
-                              3));
+                              10));
         // Batched-engine width sweep (BM_BatchedShotsBv6): the same
         // noisy shot loop at explicit SoA lane widths, so the guard
         // catches a regression that only hits one batching regime
@@ -421,20 +435,30 @@ runSimKernelSweep()
                                         std::size_t(16),
                                         std::size_t(64),
                                         std::size_t(256)}) {
-            sim::Executor batched(device);
-            batched.setSimBatch(width);
             emit("batched_shots_bv6_1024_b" + std::to_string(width),
                  timeBestNs(
                      [&] {
                          benchmark::DoNotOptimize(
-                             batched.run(program.physical, 1024, rng));
+                             trajectories(1024, width));
                      },
                      5));
         }
+        // The path Executor::run takes for this tape: build it (with
+        // its exact evolution), then sample one paper-sized policy.
+        emit("exact_sample_bv6_16384",
+             timeBestNs(
+                 [&] {
+                     const auto built = sim::ExecutionTape::build(
+                         device, program.physical);
+                     benchmark::DoNotOptimize(
+                         exec.run(built, 16384, rng));
+                 },
+                 10));
     }
     {
         // Coherent-only device: the tape is deterministic, so this
-        // times the evolve-once + binary-search-sampling fast path.
+        // times the trajectory engine's evolve-once +
+        // binary-search-sampling fast path.
         hw::NoiseSpec spec;
         spec.coherentScale = 1.5;
         spec.stochasticScale = 0.0;
@@ -444,13 +468,15 @@ runSimKernelSweep()
         const transpile::Transpiler compiler(device);
         const auto program =
             compiler.compile(benchmarks::bv6().circuit);
-        const sim::Executor exec(device);
+        const auto tape =
+            sim::ExecutionTape::build(device, program.physical);
         Rng rng(777);
         emit("deterministic_shots_bv6_4096",
              timeBestNs(
                  [&] {
-                     benchmark::DoNotOptimize(
-                         exec.run(program.physical, 4096, rng));
+                     benchmark::DoNotOptimize(sim::runTrajectories(
+                         device.calibration(), tape, 4096, rng,
+                         sim::Executor::kDefaultSimBatch));
                  },
                  5));
     }

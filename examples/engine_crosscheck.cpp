@@ -4,8 +4,10 @@
  *
  * Runs the same Clifford workload (BV-6) through the three simulation
  * engines — stabilizer tableau, ideal state vector, and the noisy
- * trajectory executor — then uses the error-budget analyzer to show
- * which noise family explains the gap between ideal and noisy.
+ * executor (which samples this 7-qubit program from its exact
+ * density-matrix output distribution) — then uses the error-budget
+ * analyzer to show which noise family explains the gap between ideal
+ * and noisy.
  *
  * Build & run:  ./build/examples/engine_crosscheck
  */
@@ -53,7 +55,7 @@ main()
     std::cout << "state-vector engine: P(correct) = "
               << analysis::fmt(ideal.prob(bench.expected), 4) << "\n";
 
-    // 3. Noisy trajectory executor on the modeled machine.
+    // 3. Noisy executor on the modeled machine.
     const hw::Device device = hw::Device::melbourne(2);
     const core::EnsembleBuilder builder(device);
     const auto program = builder.candidates(bench.circuit).front();

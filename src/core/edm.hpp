@@ -82,7 +82,9 @@ struct EdmConfig
     /**
      * Trajectory-engine lane width: shots per SoA batch inside the
      * simulator (sim::Executor::setSimBatch). 0 = scalar per-shot
-     * path, 1+ = batched. NOT part of the result's identity — every
+     * path, 1+ = batched. Only tapes above sim::kExactSampleMaxQubits
+     * active qubits run trajectories; smaller ones sample their exact
+     * outcome table. NOT part of the result's identity — every
      * width replays the §12 draw-order contract bit-identically; this
      * only tunes throughput (the executor clamps to an L1-friendly
      * width internally).

@@ -84,8 +84,9 @@ struct ExperimentConfig
     int jobs = 1;
     /**
      * Trajectory-engine lane width forwarded to every round's
-     * EdmConfig::simBatch (0 = scalar per-shot path). Throughput
-     * only — results are bit-identical at every width.
+     * EdmConfig::simBatch (0 = scalar per-shot path; affects only
+     * tapes above sim::kExactSampleMaxQubits active qubits).
+     * Throughput only — results are bit-identical at every width.
      */
     std::size_t simBatch = sim::Executor::kDefaultSimBatch;
     /**

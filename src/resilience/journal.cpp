@@ -20,7 +20,11 @@ namespace {
 //            | seedRoot u64
 //   record:  len u32 | type u8 | payload[len] | fnv1a64(type+payload)
 constexpr char kMagic[8] = {'Q', 'E', 'D', 'M', 'J', 'N', 'L', '1'};
-constexpr std::uint32_t kVersion = 1;
+// Version 2: batches of tapes with at most sim::kExactSampleMaxQubits
+// active qubits hold draws from the exact outcome table. A version-1
+// journal holds trajectory Counts for the same batches, so resuming it
+// would mix two engines' draws; it is refused instead.
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint64_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
 constexpr std::uint8_t kBatchRecord = 1;
 constexpr std::uint8_t kWallAbandonRecord = 2;

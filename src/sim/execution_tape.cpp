@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "sim/density_matrix.hpp"
 
 namespace qedm::sim {
 
@@ -40,6 +41,7 @@ ExecutionTape::build(const hw::Device &device, const Circuit &physical)
     }
 
     ExecutionTape tape;
+    tape.deviceFingerprint = device.fingerprint();
     tape.numLocal = static_cast<int>(physToLocal.size());
     tape.numClbits = flat.numClbits();
     tape.localToPhys.resize(tape.numLocal);
@@ -205,6 +207,8 @@ ExecutionTape::build(const hw::Device &device, const Circuit &physical)
                 a->second, b->second, cr.jointFlipProb});
         }
     }
+    if (tape.numLocal <= kExactSampleMaxQubits)
+        tape.exact = exactOutcomes(tape, cal);
     return tape;
 }
 

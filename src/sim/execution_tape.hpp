@@ -15,6 +15,12 @@
  * fingerprint, circuit fingerprint); calibration drift changes the
  * device fingerprint, so stale tapes from earlier rounds can never be
  * served ("drift-aware invalidation" by construction).
+ *
+ * A tape over at most kExactSampleMaxQubits active qubits also carries
+ * its exact classical-outcome distribution, readout noise included
+ * (ExactOutcomes), computed once at build: every shot of such a tape
+ * is one draw from that table instead of a noisy trajectory
+ * (DESIGN.md §8).
  */
 
 #pragma once
@@ -25,10 +31,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/bits.hpp"
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
 
@@ -87,11 +95,38 @@ struct TapePairReadout
 };
 
 /**
+ * Largest active-qubit count at which a tape carries its exact outcome
+ * table. A fixed constant, set from the measured crossover between one
+ * fused density-matrix evolution (4^n) and trajectory sampling against
+ * the trials a built tape actually serves (DESIGN.md §8); it depends
+ * on the tape alone, never on the shot count, so run(n) stays a prefix
+ * of every longer run.
+ */
+inline constexpr int kExactSampleMaxQubits = 7;
+
+/**
+ * A tape's exact classical-outcome distribution as a sampling table.
+ * Entries are the outcomes with nonzero probability, ascending; only
+ * measured clbits vary, so there are at most 2^measured of them
+ * (never 2^numClbits).
+ */
+struct ExactOutcomes
+{
+    std::vector<Outcome> outcomes; ///< full-register outcome values
+    std::vector<double> probs;     ///< normalized probabilities
+    /** Running sums of probs, for sampleFromCumulative. */
+    std::vector<double> cumulative;
+};
+
+/**
  * Immutable preprocessed program for one (device, physical circuit)
  * pair. Build once, execute from any thread.
  */
 struct ExecutionTape
 {
+    /** Fingerprint of the device the tape was built against; an
+     *  Executor only runs tapes built for its own device. */
+    std::uint64_t deviceFingerprint = 0;
     int numLocal = 0;
     int numClbits = 0;
     std::vector<int> localToPhys;
@@ -99,6 +134,9 @@ struct ExecutionTape
     std::vector<TapeMeasure> measures;
     std::vector<TapePairReadout> pairReadout;
     bool stochastic = false; ///< any per-shot randomness pre-readout
+    /** The exact outcome table, present iff
+     *  numLocal <= kExactSampleMaxQubits. */
+    std::optional<ExactOutcomes> exact;
 
     /**
      * Preprocess @p physical for @p device. The circuit register must

@@ -1,19 +1,13 @@
 #include "sim/executor.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-#include <string>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "sim/batched_statevector.hpp"
-#include "sim/channels.hpp"
 #include "sim/density_matrix.hpp"
-#include "sim/kernel_shapes.hpp"
-#include "sim/shot_plan.hpp"
 #include "sim/statevector.hpp"
+#include "sim/trajectories.hpp"
 
 namespace qedm::sim {
 
@@ -21,54 +15,10 @@ using circuit::Circuit;
 using circuit::Gate;
 using circuit::OpKind;
 
-namespace {
-
-/**
- * Apply per-bit readout confusion to a classical distribution,
- * in place: outcomes pair up as (o, o^bit), and each pair exchanges
- * probability mass independently of every other pair, so no scratch
- * distribution is needed. The two accumulations keep the term order
- * of the historical copy-based implementation (lower-index source
- * first), so results are bit-identical to it.
- */
-void
-applyBitConfusion(stats::Distribution &dist, int bit, double p01,
-                  double p10)
+Executor::Executor(hw::Device device)
+    : device_(std::move(device)), fingerprint_(device_.fingerprint())
 {
-    const std::size_t n = dist.size();
-    const std::size_t mask = std::size_t(1) << bit;
-    for (std::size_t o = 0; o < n; ++o) {
-        if (o & mask)
-            continue;
-        const double p0 = dist.prob(o);
-        const double p1 = dist.prob(o | mask);
-        dist.setProb(o, p0 * (1.0 - p01) + p1 * p10);
-        dist.setProb(o | mask, p0 * p01 + p1 * (1.0 - p10));
-    }
 }
-
-/** Apply a joint two-bit flip channel to a classical distribution,
- *  in place (outcomes pair up under the flip involution). */
-void
-applyJointFlip(stats::Distribution &dist, int bit_a, int bit_b, double p)
-{
-    if (p <= 0.0)
-        return;
-    const std::size_t n = dist.size();
-    for (std::size_t o = 0; o < n; ++o) {
-        const Outcome f = flipBit(flipBit(o, bit_a), bit_b);
-        if (f <= o)
-            continue; // visit each pair once, from its lower index
-        const double po = dist.prob(o);
-        const double pf = dist.prob(f);
-        dist.setProb(o, po * (1.0 - p) + pf * p);
-        dist.setProb(f, po * p + pf * (1.0 - p));
-    }
-}
-
-} // namespace
-
-Executor::Executor(hw::Device device) : device_(std::move(device)) {}
 
 stats::Counts
 Executor::run(const Circuit &physical, std::uint64_t shots,
@@ -79,299 +29,44 @@ Executor::run(const Circuit &physical, std::uint64_t shots,
 
 namespace {
 
-/**
- * The scalar trajectory loop, one state-vector evolution per shot.
- *
- * Every unitary factor comes pre-materialized from the tape: the shot
- * loop applies stored matrices (with the StateVector's structured-
- * matrix fast paths) and never re-derives a gate matrix.
- */
+/** @p shots draws from an exact outcome table: one uniform and a binary
+ *  search each, tallied per entry and added to the Counts once. */
 stats::Counts
-runShots(const hw::Calibration &cal, const ExecutionTape &tape,
-         std::uint64_t shots, Rng &rng)
+sampleExact(const ExactOutcomes &table, int width, std::uint64_t shots,
+            Rng &rng)
 {
-    stats::Counts counts(tape.numClbits);
-    StateVector sv(tape.numLocal);
-
-    // Deterministic fast path: with no per-shot randomness before
-    // readout, evolve once and only sample measurement + readout noise.
-    const bool deterministic = !tape.stochastic;
-
-    auto applyTrajectoryNoise = [&](StateVector &state) {
-        for (const TapeOp &op : tape.ops) {
-            for (const auto &[local, kraus] : op.preRelaxation)
-                state.applyKraus1q(kraus, local, rng);
-            if (op.l1 < 0) {
-                state.apply1q(op.gate1q, op.l0);
-                if (op.overRotation != 0.0)
-                    state.apply1q(op.overRotationMat, op.l0);
-                if (op.depolProb > 0.0 &&
-                    rng.bernoulli(op.depolProb)) {
-                    // Uniform X/Y/Z error.
-                    state.apply1q(
-                        pauliMatrix1q(
-                            static_cast<int>(rng.uniformInt(3))),
-                        op.l0);
-                }
-            } else {
-                state.apply2q(op.gate2q, op.l0, op.l1);
-                if (op.overRotation != 0.0)
-                    state.apply1q(op.overRotationMat, op.l1);
-                if (op.controlPhase != 0.0)
-                    state.apply1q(op.controlPhaseMat, op.l0);
-                for (const auto &[spectator, kick] : op.crosstalk)
-                    state.apply1q(kick, spectator);
-                if (op.depolProb > 0.0 &&
-                    rng.bernoulli(op.depolProb)) {
-                    const auto &[pa, pb] = twoQubitPauliRef(
-                        static_cast<int>(rng.uniformInt(15)));
-                    state.apply1q(pa, op.l0);
-                    state.apply1q(pb, op.l1);
-                }
-            }
-            for (const auto &[local, kraus] : op.relaxation)
-                state.applyKraus1q(kraus, local, rng);
-        }
-        // Decoherence during the measurement window.
-        for (const auto &m : tape.measures) {
-            for (const auto &kraus : m.relaxation)
-                state.applyKraus1q(kraus, m.local, rng);
-        }
-    };
-
-    // On the deterministic path the Born distribution is fixed across
-    // shots: precompute its cumulative form once and sampling becomes
-    // a binary search instead of an O(2^n) scan per shot.
-    std::vector<double> cumulative;
-    if (deterministic) {
-        applyTrajectoryNoise(sv); // no randomness is consumed
-        cumulative = sv.cumulativeProbabilities();
-    }
-
-    for (std::uint64_t shot = 0; shot < shots; ++shot) {
-        std::size_t basis;
-        if (deterministic) {
-            basis = sampleFromCumulative(cumulative, rng);
-        } else {
-            sv.reset();
-            applyTrajectoryNoise(sv);
-            basis = sv.sampleMeasurement(rng);
-        }
-
-        Outcome outcome = 0;
-        for (const auto &m : tape.measures) {
-            int bit = getBit(basis, m.local);
-            const auto &qc = cal.qubit(m.phys);
-            const double flip = bit ? qc.readoutP10 : qc.readoutP01;
-            if (flip > 0.0 && rng.bernoulli(flip))
-                bit ^= 1;
-            outcome = setBit(outcome, m.clbit, bit);
-        }
-        for (const auto &pr : tape.pairReadout) {
-            if (rng.bernoulli(pr.jointFlipProb)) {
-                outcome = flipBit(outcome, pr.clbitA);
-                outcome = flipBit(outcome, pr.clbitB);
-            }
-        }
-        counts.add(outcome);
-    }
-    return counts;
-}
-
-/**
- * One batch through the SoA engine: the tape is walked once, shared
- * unitary factors broadcast to every lane, and the pre-sampled plan
- * supplies each lane's stochastic realization (Pauli fixups, Kraus
- * uniforms, measurement/readout uniforms) in the scalar loop's draw
- * positions. Kraus (ks) and depolarizing (ds) site counters advance
- * exactly as the pre-sampler's did, pairing every site with its
- * recorded lane row.
- */
-/** Per-Kraus-site chain hint for applyKraus1qLanes: when mask is
- *  nonzero, the site that follows this one in walk order starts with
- *  diag(1, d1) on that qubit bit and nothing else touches the state
- *  in between, so the closing renormalization can pre-accumulate the
- *  next site's Born probability in the same sweep. */
-struct ChainHint
-{
-    std::size_t mask = 0;
-    Complex d1{0.0, 0.0};
-};
-
-/**
- * Walk the tape in the exact runOneBatch order and record, for each
- * Kraus site, whether the next state mutation is another Kraus site
- * whose first operator is diag(1, d1) — the amplitude-damping shape.
- * Gates (and their fixups) break the chain; consecutive relaxation
- * sites, the seam from one op's post-relaxation into the next op's
- * pre-relaxation, and the measurement relaxation run all chain.
- * Hints are advisory: a wrong one costs a redundant sweep, never a
- * different bit (BatchedStateVector re-validates before consuming).
- */
-std::vector<ChainHint>
-buildChainHints(const ExecutionTape &tape)
-{
-    std::vector<ChainHint> hints;
-    int prev = -1;
-    const auto site = [&](const Kraus1q &kraus, int local) {
-        if (prev >= 0 && kraus.size() > 1 &&
-            kernels::classify1q(kraus[0]) ==
-                kernels::Mat2Shape::Diagonal &&
-            kraus[0][0] == kernels::kOne) {
-            hints[static_cast<std::size_t>(prev)] = {
-                std::size_t(1) << local, kraus[0][3]};
-        }
-        prev = static_cast<int>(hints.size());
-        hints.emplace_back();
-    };
-    for (const TapeOp &op : tape.ops) {
-        for (const auto &[local, kraus] : op.preRelaxation)
-            site(kraus, local);
-        prev = -1; // the gate and its fixups break the chain
-        for (const auto &[local, kraus] : op.relaxation)
-            site(kraus, local);
-    }
-    for (const auto &m : tape.measures)
-        for (const auto &kraus : m.relaxation)
-            site(kraus, m.local);
-    return hints;
-}
-
-void
-runOneBatch(BatchedStateVector &sv, const BatchPlan &plan,
-            const hw::Calibration &cal, const ExecutionTape &tape,
-            const std::vector<ChainHint> &hints, stats::Counts &counts,
-            std::vector<std::size_t> &basis)
-{
-    const std::size_t lanes = plan.lanes();
-    std::size_t ks = 0;
-    std::size_t ds = 0;
-    const auto kraus_site = [&](const Kraus1q &kraus, int local) {
-        sv.applyKraus1qLanes(kraus, local, plan.krausU(ks),
-                             hints[ks].mask, hints[ks].d1);
-        ++ks;
-    };
-    for (const TapeOp &op : tape.ops) {
-        for (const auto &[local, kraus] : op.preRelaxation)
-            kraus_site(kraus, local);
-        if (op.l1 < 0) {
-            sv.apply1q(op.gate1q, op.l0);
-            if (op.overRotation != 0.0)
-                sv.apply1q(op.overRotationMat, op.l0);
-            if (op.depolProb > 0.0)
-                sv.applyPauli1qLanes(plan.pauli(ds++), op.l0);
-        } else {
-            sv.apply2q(op.gate2q, op.l0, op.l1);
-            if (op.overRotation != 0.0)
-                sv.apply1q(op.overRotationMat, op.l1);
-            if (op.controlPhase != 0.0)
-                sv.apply1q(op.controlPhaseMat, op.l0);
-            for (const auto &[spectator, kick] : op.crosstalk)
-                sv.apply1q(kick, spectator);
-            if (op.depolProb > 0.0)
-                sv.applyPauli2qLanes(plan.pauli(ds++), op.l0, op.l1);
-        }
-        for (const auto &[local, kraus] : op.relaxation)
-            kraus_site(kraus, local);
-    }
-    for (const auto &m : tape.measures) {
-        for (const auto &kraus : m.relaxation)
-            kraus_site(kraus, m.local);
-    }
-
-    basis.resize(lanes);
-    sv.sampleMeasurementLanes(plan.measureU(), basis.data());
-
-    for (std::size_t l = 0; l < lanes; ++l) {
-        Outcome outcome = 0;
-        std::size_t rs = 0;
-        for (const auto &m : tape.measures) {
-            int bit = getBit(basis[l], m.local);
-            const auto &qc = cal.qubit(m.phys);
-            // Eligibility guarantees P01 > 0 <=> P10 > 0, so the
-            // site is active independent of the measured bit.
-            if (qc.readoutP01 > 0.0) {
-                const double flip =
-                    bit ? qc.readoutP10 : qc.readoutP01;
-                if (plan.readoutU(rs)[l] < flip)
-                    bit ^= 1;
-                ++rs;
-            }
-            outcome = setBit(outcome, m.clbit, bit);
-        }
-        for (std::size_t p = 0; p < tape.pairReadout.size(); ++p) {
-            if (plan.pairFlip(p)[l] != 0) {
-                outcome = flipBit(outcome, tape.pairReadout[p].clbitA);
-                outcome = flipBit(outcome, tape.pairReadout[p].clbitB);
-            }
-        }
-        counts.add(outcome);
-    }
-}
-
-stats::Counts
-runShotsBatched(const hw::Calibration &cal, const ExecutionTape &tape,
-                std::uint64_t shots, Rng &rng, std::size_t width)
-{
-    // Cap the width so both amplitude planes together stay in the
-    // lower half of L1 (~16 KiB): every tape op sweeps the full
-    // working set, and the pair-order replay buffer plus the plan
-    // rows stream alongside it, so wider batches that push the
-    // combined footprint past L1 run slower, not faster. Keep at
-    // least 4 lanes (one SIMD vector) for large registers, but never
-    // above ~16 MiB total.
-    const std::size_t dim = std::size_t(1) << tape.numLocal;
-    const std::size_t amp_bytes = dim * 2 * sizeof(double);
-    const std::size_t l1_lanes = (std::size_t(16) << 10) / amp_bytes;
-    const std::size_t mem_lanes = std::max<std::size_t>(
-        1, (std::size_t(16) << 20) / amp_bytes);
-    width = std::min(
-        {width, std::max<std::size_t>(l1_lanes, 4), mem_lanes});
-
-    stats::Counts counts(tape.numClbits);
-    BatchPlan plan;
-    const std::vector<ChainHint> hints = buildChainHints(tape);
-    std::vector<std::size_t> basis;
-    std::unique_ptr<BatchedStateVector> full;
-    std::uint64_t done = 0;
-    while (done < shots) {
-        const auto batch = static_cast<std::size_t>(
-            std::min<std::uint64_t>(width, shots - done));
-        BatchedStateVector *sv = nullptr;
-        std::unique_ptr<BatchedStateVector> tail;
-        if (batch == width) {
-            if (full)
-                full->reset();
-            else
-                full = std::make_unique<BatchedStateVector>(
-                    tape.numLocal, width);
-            sv = full.get();
-        } else {
-            // Non-multiple remainder: a one-off engine of exactly the
-            // leftover lane count (plan rows are stride-`batch`).
-            tail = std::make_unique<BatchedStateVector>(tape.numLocal,
-                                                        batch);
-            sv = tail.get();
-        }
-        plan.presample(tape, cal, batch, rng);
-        runOneBatch(*sv, plan, cal, tape, hints, counts, basis);
-        done += batch;
+    std::vector<std::uint64_t> hits(table.outcomes.size(), 0);
+    for (std::uint64_t shot = 0; shot < shots; ++shot)
+        ++hits[sampleFromCumulative(table.cumulative, rng)];
+    stats::Counts counts(width);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        if (hits[i] > 0)
+            counts.add(table.outcomes[i], hits[i]);
     }
     return counts;
 }
 
 } // namespace
 
+void
+Executor::requireOwnDevice(const ExecutionTape &tape) const
+{
+    QEDM_REQUIRE(tape.deviceFingerprint == fingerprint_,
+                 "execution tape was built against a different device "
+                 "(fingerprint mismatch); build the tape with this "
+                 "Executor's device");
+}
+
 stats::Counts
 Executor::run(const ExecutionTape &tape, std::uint64_t shots,
               Rng &rng) const
 {
     QEDM_REQUIRE(shots > 0, "shots must be positive");
-    if (simBatch_ > 0 && batchEligible(tape, device_.calibration())) {
-        return runShotsBatched(device_.calibration(), tape, shots,
-                               rng, simBatch_);
-    }
-    return runShots(device_.calibration(), tape, shots, rng);
+    requireOwnDevice(tape);
+    if (tape.exact)
+        return sampleExact(*tape.exact, tape.numClbits, shots, rng);
+    return runTrajectories(device_.calibration(), tape, shots, rng,
+                           simBatch_);
 }
 
 stats::Distribution
@@ -383,66 +78,15 @@ Executor::exactDistribution(const Circuit &physical) const
 stats::Distribution
 Executor::exactDistribution(const ExecutionTape &tape) const
 {
-    QEDM_REQUIRE(tape.numLocal <= 10,
-                 "exact density-matrix simulation supports at most 10 "
-                 "active qubits, circuit has " +
-                     std::to_string(tape.numLocal) +
-                     "; use trajectory sampling (Executor::run) for "
-                     "larger circuits");
-    const auto &cal = device_.calibration();
-
-    DensityMatrix rho(tape.numLocal);
-    for (const TapeOp &op : tape.ops) {
-        for (const auto &[local, kraus] : op.preRelaxation)
-            rho.applyKraus1q(kraus, local);
-        if (op.l1 < 0) {
-            rho.apply1q(op.gate1q, op.l0);
-            if (op.overRotation != 0.0)
-                rho.apply1q(op.overRotationMat, op.l0);
-            if (op.depolProb > 0.0)
-                rho.applyKraus1q(depolarizing1q(op.depolProb), op.l0);
-        } else {
-            rho.apply2q(op.gate2q, op.l0, op.l1);
-            if (op.overRotation != 0.0)
-                rho.apply1q(op.overRotationMat, op.l1);
-            if (op.controlPhase != 0.0)
-                rho.apply1q(op.controlPhaseMat, op.l0);
-            for (const auto &[spectator, kick] : op.crosstalk)
-                rho.apply1q(kick, spectator);
-            if (op.depolProb > 0.0)
-                rho.applyDepolarizing2q(op.depolProb, op.l0, op.l1);
-        }
-        for (const auto &[local, kraus] : op.relaxation)
-            rho.applyKraus1q(kraus, local);
-    }
-    for (const auto &m : tape.measures) {
-        for (const auto &kraus : m.relaxation)
-            rho.applyKraus1q(kraus, m.local);
-    }
-
-    // Project the basis-state probabilities onto the classical register.
+    requireOwnDevice(tape);
+    std::optional<ExactOutcomes> computed;
+    const ExactOutcomes &table =
+        tape.exact ? *tape.exact
+                   : computed.emplace(
+                         exactOutcomes(tape, device_.calibration()));
     stats::Distribution dist(tape.numClbits);
-    const std::vector<double> probs = rho.probabilities();
-    for (std::size_t basis = 0; basis < probs.size(); ++basis) {
-        if (probs[basis] <= 0.0)
-            continue;
-        Outcome outcome = 0;
-        for (const auto &m : tape.measures)
-            outcome = setBit(outcome, m.clbit, getBit(basis, m.local));
-        dist.addProb(outcome, probs[basis]);
-    }
-
-    // Classical readout channels (applied in place; see the helpers).
-    for (const auto &m : tape.measures) {
-        const auto &qc = cal.qubit(m.phys);
-        if (qc.readoutP01 > 0.0 || qc.readoutP10 > 0.0)
-            applyBitConfusion(dist, m.clbit, qc.readoutP01,
-                              qc.readoutP10);
-    }
-    for (const auto &pr : tape.pairReadout)
-        applyJointFlip(dist, pr.clbitA, pr.clbitB, pr.jointFlipProb);
-
-    dist.normalize();
+    for (std::size_t i = 0; i < table.outcomes.size(); ++i)
+        dist.setProb(table.outcomes[i], table.probs[i]);
     return dist;
 }
 

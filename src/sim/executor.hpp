@@ -10,8 +10,17 @@
  *
  * Two engines share one preprocessing pass (the ExecutionTape, see
  * sim/execution_tape.hpp):
- *  - trajectory: per-shot state-vector evolution with sampled noise;
- *  - exact: density-matrix evolution applying every channel fully.
+ *  - exact: density-matrix evolution applying every channel fully
+ *    (sim/density_matrix.hpp);
+ *  - trajectory: per-shot state-vector evolution with sampled noise
+ *    (sim/trajectories.hpp).
+ *
+ * run() samples a tape with at most kExactSampleMaxQubits active
+ * qubits from its exact outcome table, which the tape computed once at
+ * build: one uniform draw and a binary search per shot. Each trial is
+ * an independent draw from the same noisy output law either way,
+ * since the state resets every shot and the noise is drawn fresh.
+ * Larger tapes run trajectories; setSimBatch() tunes only those.
  *
  * Only the qubits the circuit touches are simulated; the tape compacts
  * physical indices into a dense local register while retaining the
@@ -19,9 +28,10 @@
  *
  * Fault injection lives in the resilience layer: a member that drops
  * out mid-batch runs only the trials before the dropout. That relies on
- * a prefix property of both engines: with the same Rng, run(tape, n,
+ * a prefix property of every engine: with the same Rng, run(tape, n,
  * rng) returns the counts of the first n trials of any longer run
- * (DESIGN.md §11).
+ * (DESIGN.md §11). The engine choice depends on the tape alone, never
+ * on the shot count, which keeps that property.
  *
  * Thread safety: every run()/exactDistribution() overload is const and
  * touches only call-local state, so one Executor may be used from many
@@ -55,28 +65,29 @@ class Executor
     const hw::Device &device() const { return device_; }
 
     /**
-     * Execute @p physical for @p shots trials with per-shot noise
-     * trajectories and return the outcome histogram. Builds the tape
-     * once and reuses it for every shot.
+     * Execute @p physical for @p shots trials and return the outcome
+     * histogram. Builds the tape once and reuses it for every shot.
      */
     stats::Counts run(const circuit::Circuit &physical,
                       std::uint64_t shots, Rng &rng) const;
 
     /**
-     * Same, from a prebuilt tape (must have been built against a
-     * device with this Executor's fingerprint).
+     * Same, from a prebuilt tape. The tape must have been built
+     * against a device with this Executor's fingerprint; any other
+     * tape throws UserError.
      */
     stats::Counts run(const ExecutionTape &tape, std::uint64_t shots,
                       Rng &rng) const;
 
     /**
-     * Batched-engine width: stochastic tapes whose draw structure is
-     * state-independent (sim/shot_plan.hpp) evolve this many shots
-     * per tape walk on the SoA engine, bit-identical to the scalar
-     * loop. 0 forces the scalar per-shot path (the pre-batching
-     * reference); widths are additionally capped so the amplitude
-     * planes stay memory-sane for large registers. Configure before
-     * sharing the Executor across threads.
+     * Batched-engine width for tapes above kExactSampleMaxQubits:
+     * stochastic tapes whose draw structure is state-independent
+     * (sim/shot_plan.hpp) evolve this many shots per tape walk on the
+     * SoA engine, bit-identical to the scalar loop. 0 forces the
+     * scalar per-shot path (the pre-batching reference); widths are
+     * additionally capped so the amplitude planes stay memory-sane for
+     * large registers. Configure before sharing the Executor across
+     * threads.
      */
     static constexpr std::size_t kDefaultSimBatch = 64;
     void setSimBatch(std::size_t width) { simBatch_ = width; }
@@ -84,7 +95,8 @@ class Executor
 
     /**
      * Exact output distribution over the classical register via
-     * density-matrix simulation.
+     * density-matrix simulation (the tape's stored table when it has
+     * one).
      *
      * Hard limit: at most 10 *active* qubits (the density matrix is
      * dense over 4^n entries — 10 qubits is already a 1M-complex
@@ -94,12 +106,16 @@ class Executor
     stats::Distribution
     exactDistribution(const circuit::Circuit &physical) const;
 
-    /** Same, from a prebuilt tape. */
+    /** Same, from a prebuilt tape (same device precondition as run). */
     stats::Distribution
     exactDistribution(const ExecutionTape &tape) const;
 
   private:
+    /** Throws UserError unless @p tape was built for this device. */
+    void requireOwnDevice(const ExecutionTape &tape) const;
+
     hw::Device device_;
+    std::uint64_t fingerprint_; ///< device_.fingerprint(), cached
     std::size_t simBatch_ = kDefaultSimBatch;
 };
 

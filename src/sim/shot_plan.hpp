@@ -24,7 +24,7 @@
  *
  * Whether a readout site draws at all is state-dependent when exactly
  * one of P(0->1)/P(1->0) is zero; batchEligible() rejects such tapes
- * and the Executor falls back to the scalar path.
+ * and runTrajectories falls back to the scalar path.
  */
 
 #pragma once

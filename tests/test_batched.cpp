@@ -10,9 +10,12 @@
  *
  *  - batch widths {1, 3, 8, 64} and a shot total chosen so the last
  *    batch is a non-power-of-two remainder, each compared against the
- *    pre-batching scalar path (setSimBatch(0)) on the same seed;
+ *    pre-batching scalar path (width 0) on the same seed, through the
+ *    trajectory entry point sim::runTrajectories;
  *  - the full EDM/WEDM pipeline at --jobs {1, 4} crossed with batch
- *    widths, merged distributions compared double-for-double;
+ *    widths, merged distributions compared double-for-double, on a
+ *    circuit wide enough (9 active qubits) that Executor::run takes
+ *    the trajectory engines rather than the exact sampler;
  *  - forceScalarLaneKernels: the baseline-ISA kernel build replayed
  *    against whatever build the CPU selected, counts bit-identical
  *    (trivially true on hosts without AVX2, a real cross-check with).
@@ -29,23 +32,25 @@
 #include "sim/execution_tape.hpp"
 #include "sim/executor.hpp"
 #include "sim/lane_kernels.hpp"
+#include "sim/trajectories.hpp"
 #include "stats/counts.hpp"
 #include "transpile/transpiler.hpp"
 
 namespace qedm {
 namespace {
 
-/** Counts from one fixed-seed run of bv-6 at the given lane width. */
+/** Counts from one fixed-seed trajectory run of bv-6 at the given
+ *  lane width. */
 stats::Counts
 runBv6(std::size_t sim_batch, std::uint64_t shots)
 {
     const hw::Device device = hw::Device::melbourne(2);
     const transpile::Transpiler compiler(device);
     const auto program = compiler.compile(benchmarks::bv6().circuit);
-    sim::Executor exec(device);
-    exec.setSimBatch(sim_batch);
+    const auto tape = sim::ExecutionTape::build(device, program.physical);
     Rng rng(12345);
-    return exec.run(program.physical, shots, rng);
+    return sim::runTrajectories(device.calibration(), tape, shots, rng,
+                                sim_batch);
 }
 
 void
@@ -95,6 +100,9 @@ TEST_P(BatchedPipeline, EdmWedmInvariantToWidthAndJobs)
 {
     const auto [width, jobs] = GetParam();
     const hw::Device device = hw::Device::melbourne(2);
+    // An 8-bit key plus the ancilla: every member tape has more than
+    // kExactSampleMaxQubits active qubits, so it runs trajectories.
+    const auto bench = benchmarks::bernsteinVazirani("11001101");
 
     const auto runAt = [&](std::size_t w, int j) {
         core::EdmConfig config;
@@ -103,11 +111,16 @@ TEST_P(BatchedPipeline, EdmWedmInvariantToWidthAndJobs)
         config.simBatch = w;
         core::EdmPipeline pipeline(device, config);
         Rng rng(2026);
-        return pipeline.run(benchmarks::bv6().circuit, rng);
+        return pipeline.run(bench.circuit, rng);
     };
 
     const auto ref = runAt(0, 1); // scalar path, sequential
     const auto got = runAt(width, jobs);
+    for (const auto &member : got.members) {
+        ASSERT_GT(sim::ExecutionTape::build(device, member.program.physical)
+                      .numLocal,
+                  sim::kExactSampleMaxQubits);
+    }
     ASSERT_EQ(got.edm.size(), ref.edm.size());
     ASSERT_EQ(got.wedm.size(), ref.wedm.size());
     for (std::size_t i = 0; i < ref.edm.size(); ++i) {

@@ -13,7 +13,9 @@
 #include "core/edm.hpp"
 #include "core/experiment.hpp"
 #include "hw/device.hpp"
+#include "sim/execution_tape.hpp"
 #include "sim/executor.hpp"
+#include "sim/trajectories.hpp"
 #include "stats/metrics.hpp"
 #include "transpile/esp.hpp"
 #include "transpile/vf2.hpp"
@@ -127,10 +129,12 @@ TEST_P(TrajectoryExactTest, AgreesWithDensityMatrix)
     const auto bench = benchmarks::byName(GetParam());
     const auto program = builder.candidates(bench.circuit).front();
     const sim::Executor exec(device);
-    const auto exact = exec.exactDistribution(program.physical);
+    const auto tape = sim::ExecutionTape::build(device, program.physical);
+    const auto exact = exec.exactDistribution(tape);
     Rng rng(13);
     const auto empirical = stats::Distribution::fromCounts(
-        exec.run(program.physical, 60000, rng));
+        sim::runTrajectories(device.calibration(), tape, 60000, rng,
+                             sim::Executor::kDefaultSimBatch));
     EXPECT_LT(stats::totalVariation(exact, empirical), 0.02)
         << bench.name;
 }

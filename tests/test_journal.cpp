@@ -400,6 +400,30 @@ TEST(JournalTest, BadHeaderIsRejected)
     }
 }
 
+TEST(JournalTest, OlderVersionIsRejected)
+{
+    // A version-1 journal (written before small tapes sampled their
+    // exact outcome table) holds other Counts for the same batches.
+    const std::string path = tmpPath("v1.bin");
+    { Journal::create(path, someFingerprint()); }
+    std::vector<char> bytes = readFile(path);
+    ASSERT_EQ(bytes.size(), kHeaderBytes);
+    const std::size_t version_at = 8;
+    EXPECT_EQ(bytes[version_at], 2);
+    bytes[version_at] = 1;
+    writeFile(path, bytes);
+    try {
+        JournalReplay::load(path);
+        FAIL() << "version-1 journal accepted";
+    } catch (const check::CheckError &e) {
+        EXPECT_EQ(e.kind(), check::CheckErrorKind::JournalHeaderInvalid);
+        EXPECT_NE(std::string(e.what()).find("version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
 TEST(JournalTest, FingerprintMismatchIsRejected)
 {
     const std::string path = tmpPath("foreign.bin");

@@ -15,8 +15,10 @@
 #include "hw/device.hpp"
 #include "sim/channels.hpp"
 #include "sim/density_matrix.hpp"
+#include "sim/execution_tape.hpp"
 #include "sim/executor.hpp"
 #include "sim/statevector.hpp"
+#include "sim/trajectories.hpp"
 #include "stats/metrics.hpp"
 
 namespace qedm::sim {
@@ -344,16 +346,20 @@ TEST(Executor, BiasedReadoutIsStateDependent)
 
 TEST(Executor, TrajectoryMatchesExactDistribution)
 {
-    // Full correlated noise on: empirical trajectory histogram must
-    // converge to the exact density-matrix distribution.
+    // Full correlated noise on: the empirical trajectory histogram
+    // must converge to the exact density-matrix distribution. This is
+    // the law equivalence that lets run() sample small tapes from
+    // their exact table instead (DESIGN.md §8).
     const hw::Device device = hw::Device::melbourne(21);
     const Executor exec(device);
     Circuit c(14, 2);
     c.h(0).cx(0, 1).rz(0.4, 1).cx(1, 2).measure(0, 0).measure(1, 1);
+    const auto tape = ExecutionTape::build(device, c);
     Rng rng(23);
-    const auto exact = exec.exactDistribution(c);
+    const auto exact = exec.exactDistribution(tape);
     const auto empirical = stats::Distribution::fromCounts(
-        exec.run(c, 200000, rng));
+        runTrajectories(device.calibration(), tape, 200000, rng,
+                        Executor::kDefaultSimBatch));
     double tv = 0.0;
     for (Outcome o = 0; o < 4; ++o)
         tv += std::abs(exact.prob(o) - empirical.prob(o));
@@ -400,8 +406,8 @@ TEST(Executor, CorrelatedReadoutProducesJointFlips)
 
 TEST(Executor, DeterministicFastPathMatchesSlowPath)
 {
-    // With stochastic noise disabled the executor evolves once; the
-    // sampled histogram must match an ideal-device run gate-for-gate.
+    // With stochastic noise disabled the trajectory path evolves
+    // once; the sampled histogram must match the exact distribution.
     hw::NoiseSpec spec;
     spec.coherentScale = 1.5;
     spec.stochasticScale = 0.0;
@@ -411,9 +417,13 @@ TEST(Executor, DeterministicFastPathMatchesSlowPath)
     const Executor exec(device);
     Circuit c(14, 2);
     c.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+    const auto tape = ExecutionTape::build(device, c);
+    ASSERT_FALSE(tape.stochastic);
     Rng rng(43);
-    const auto counts = exec.run(c, 100000, rng);
-    const auto exact = exec.exactDistribution(c);
+    const auto counts = runTrajectories(device.calibration(), tape,
+                                        100000, rng,
+                                        Executor::kDefaultSimBatch);
+    const auto exact = exec.exactDistribution(tape);
     const auto empirical = stats::Distribution::fromCounts(counts);
     for (Outcome o = 0; o < 4; ++o)
         EXPECT_NEAR(empirical.prob(o), exact.prob(o), 0.01);

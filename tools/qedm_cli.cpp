@@ -16,8 +16,10 @@
  * bit-identical for every N.
  *
  * `--sim-batch B` sets the trajectory engine's SoA lane width
- * (0 = scalar per-shot path). Throughput only — results are
- * bit-identical at every width.
+ * (0 = scalar per-shot path). It only affects programs with more than
+ * 7 active qubits; smaller ones are sampled from their exact output
+ * distribution. Throughput only — results are bit-identical at every
+ * width.
  *
  * `--check` (anywhere on the line) runs the qedm::check static
  * verifier passes over every compiled program: compile/candidates
@@ -459,7 +461,11 @@ usage()
                  "[--retry-max N] [--member-deadline-ms MS] "
                  "[--min-trials-per-member N] "
                  "[--journal PATH | --resume PATH | "
-                 "--replay-faults PATH] [--wall-deadline-ms MS]\n";
+                 "--replay-faults PATH] [--wall-deadline-ms MS]\n"
+                 "  --sim-batch B: trajectory lane width (0 = scalar); "
+                 "only programs with more than 7 active qubits run "
+                 "trajectories, smaller ones sample their exact "
+                 "distribution\n";
     return 1;
 }
 

@@ -1,10 +1,10 @@
 #include "core/edm.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
-
-#include <mutex>
 
 #include "common/error.hpp"
 #include "resilience/fault_injector.hpp"
@@ -14,29 +14,6 @@
 
 namespace qedm::core {
 namespace {
-
-/** One schedulable unit: a shot batch of one ensemble member. */
-struct ShotUnit
-{
-    std::size_t member;
-    std::uint64_t batch;
-    std::uint64_t shots;
-};
-
-/** Cut each member's shot share into fixed-size batches. */
-std::vector<ShotUnit>
-makeUnits(const std::vector<std::uint64_t> &splits, std::uint64_t batch)
-{
-    std::vector<ShotUnit> units;
-    for (std::size_t m = 0; m < splits.size(); ++m) {
-        for (std::uint64_t done = 0, b = 0; done < splits[m];
-             done += batch, ++b) {
-            units.push_back(
-                ShotUnit{m, b, std::min(batch, splits[m] - done)});
-        }
-    }
-    return units;
-}
 
 /**
  * Stream key rooting the fault-injection domain under the pipeline's
@@ -53,8 +30,11 @@ constexpr std::uint64_t kStreamFaults = 0xFA171D05ull;
  */
 constexpr std::uint64_t kStreamRetryJitter = 0xBAC0FFull;
 
-/** A resilient work unit. */
-struct ResilientUnit
+/**
+ * One schedulable unit: a shot batch of one ensemble member, or of a
+ * single-mapping baseline run (member 0).
+ */
+struct WorkUnit
 {
     std::size_t member;
     std::uint64_t batch;
@@ -63,7 +43,22 @@ struct ResilientUnit
     std::uint64_t shots;
 };
 
-/** What one resilient unit produced across its retry attempts. */
+/**
+ * Cut @p shots trials of member @p m into batches of @p batch_size,
+ * numbered from @p first_batch, and append them to @p units.
+ */
+void
+appendBatches(std::vector<WorkUnit> &units, std::size_t m,
+              std::uint64_t shots, std::uint64_t batch_size,
+              std::uint64_t first_batch)
+{
+    for (std::uint64_t done = 0, b = first_batch; done < shots;
+         done += batch_size, ++b) {
+        units.push_back(WorkUnit{m, b, std::min(batch_size, shots - done)});
+    }
+}
+
+/** What one unit produced across its retry attempts. */
 struct UnitResult
 {
     std::optional<stats::Counts> counts;
@@ -71,12 +66,155 @@ struct UnitResult
     bool exhausted = false;
     /** Abandoned by the live wall-clock watchdog (never executed). */
     bool abandoned = false;
-    /** Restored from a journal instead of executed (crash resume). */
-    bool restored = false;
 };
 
-/** Per-member counts + keep mask + report from a faulted execution. */
-struct ResilientOutcome
+/**
+ * What a wave of units runs against. Ensemble members and the
+ * single-mapping baselines differ only in what they put here:
+ * members get a fault injector and, under a wall budget, a watchdog;
+ * baselines get neither.
+ */
+struct WaveContext
+{
+    const EdmConfig &config;
+    const runtime::JobScheduler &scheduler;
+    /** Journal stage of every unit in the wave. */
+    resilience::JournalStage stage;
+    /** Stream root per member: unit (m, b) draws from roots[m].child(b). */
+    std::vector<SeedSequence> roots;
+    /** Tape and executor per member. */
+    std::vector<std::shared_ptr<const sim::ExecutionTape>> tapes;
+    std::vector<const sim::Executor *> executors;
+    /** Fault oracle; null for a stage that cannot fault. */
+    const resilience::FaultInjector *injector = nullptr;
+    /** Live wall-clock watchdog; null when no wall budget is set. */
+    const runtime::Watchdog *watchdog = nullptr;
+    /** Per-member canonical wall cut, lowered when the watchdog fires. */
+    std::vector<std::uint64_t> *wallFire = nullptr;
+};
+
+/**
+ * Execute one wave of units over the scheduler: the one place this
+ * file runs shots. Each unit owns the RNG stream keyed by its
+ * (member, batch) coordinates, retries within its own result slot and
+ * is journaled under (round, stage, member, batch), so the outcome is
+ * independent of scheduling order. On resume, units found in the
+ * journal restore their recorded outcome instead of executing.
+ */
+std::vector<UnitResult>
+runWave(const WaveContext &ctx, const std::vector<WorkUnit> &wave)
+{
+    const EdmConfig &config = ctx.config;
+    const resilience::ResilienceConfig &res = config.resilience;
+    // A lost batch comes only from an injected transient fault.
+    const bool can_fault =
+        ctx.injector != nullptr && ctx.injector->config().any();
+    const runtime::RetryPolicy policy{res.retryMax + 1,
+                                      res.backoffBaseMs, 2.0,
+                                      res.backoffJitter};
+    const auto batchKey = [&](const WorkUnit &unit) {
+        return resilience::BatchKey{
+            config.journalRound, ctx.stage,
+            static_cast<std::uint32_t>(unit.member), unit.batch};
+    };
+    std::vector<UnitResult> results(wave.size());
+    std::mutex wall_mutex; // guards *ctx.wallFire while the wave runs
+    ctx.scheduler.parallelFor(wave.size(), [&](std::size_t u) {
+        const WorkUnit &unit = wave[u];
+        if (config.replay != nullptr) {
+            // Crash resume: completed units restore their durable
+            // outcome instead of executing (no watchdog charge — that
+            // wall time was spent before the crash).
+            const resilience::BatchRecord *rec =
+                config.replay->findBatch(batchKey(unit));
+            if (rec != nullptr) {
+                QEDM_REQUIRE(can_fault || rec->counts.has_value(),
+                             "journal holds a lost batch for a stage "
+                             "that cannot fault");
+                results[u].counts = rec->counts;
+                results[u].attempts = rec->attempts;
+                results[u].exhausted = rec->exhausted;
+                return;
+            }
+        }
+        if (ctx.watchdog != nullptr && ctx.watchdog->expired(unit.member)) {
+            // The member's wall budget is blown: abandon instead of
+            // executing. Which batch observes the fire first is racy;
+            // contributions are canonicalized to the minimum abandoned
+            // batch when waves are recorded, and the fire is journaled
+            // so replays can force the same cut.
+            results[u].abandoned = true;
+            const std::lock_guard<std::mutex> lock(wall_mutex);
+            std::uint64_t &fire = (*ctx.wallFire)[unit.member];
+            if (unit.batch < fire) {
+                fire = unit.batch;
+                if (config.journal != nullptr) {
+                    config.journal->recordWallAbandon(
+                        config.journalRound, {unit.member, unit.batch});
+                }
+            }
+            return;
+        }
+        const double start_ms =
+            ctx.watchdog != nullptr ? ctx.watchdog->timeSource().nowMs()
+                                    : 0.0;
+        const SeedSequence node = ctx.roots[unit.member].child(unit.batch);
+        const runtime::RetryOutcome attempt_log = runtime::retryWithBackoff(
+            policy,
+            [&](int attempt) {
+                if (ctx.injector != nullptr &&
+                    ctx.injector->transientFails(unit.member, unit.batch,
+                                                 attempt)) {
+                    throw runtime::TransientError(
+                        "injected transient batch failure");
+                }
+                Rng unit_rng = node.rng();
+                // A dropout-truncated unit runs only the trials before
+                // the dropout: the first unit.shots trials of the full
+                // batch's stream.
+                results[u].counts = ctx.executors[unit.member]->run(
+                    *ctx.tapes[unit.member], unit.shots, unit_rng);
+            },
+            res.effectiveClock(), node.child(kStreamRetryJitter));
+        if (ctx.watchdog != nullptr) {
+            ctx.watchdog->charge(unit.member,
+                                 ctx.watchdog->timeSource().nowMs() -
+                                     start_ms);
+        }
+        results[u].attempts = attempt_log.attempts;
+        results[u].exhausted = !attempt_log.succeeded;
+        if (config.journal != nullptr) {
+            config.journal->recordBatch(
+                batchKey(unit), {results[u].attempts, results[u].exhausted,
+                                 results[u].counts});
+        }
+    });
+    return results;
+}
+
+/** config.scheduler, or a pool of config.jobs built in @p owned. */
+const runtime::JobScheduler &
+schedulerFor(const EdmConfig &config,
+             std::optional<runtime::JobScheduler> &owned)
+{
+    if (config.scheduler != nullptr)
+        return *config.scheduler;
+    return owned.emplace(config.jobs);
+}
+
+/** @p program's tape on @p device, from config.tapeCache when set. */
+std::shared_ptr<const sim::ExecutionTape>
+tapeFor(const hw::Device &device, const EdmConfig &config,
+        const transpile::CompiledProgram &program)
+{
+    return config.tapeCache != nullptr
+               ? config.tapeCache->get(device, program.physical)
+               : std::make_shared<const sim::ExecutionTape>(
+                     sim::ExecutionTape::build(device, program.physical));
+}
+
+/** Per-member counts + keep mask + report from the member stage. */
+struct MemberOutcome
 {
     std::vector<stats::Counts> counts;
     std::vector<bool> kept;
@@ -99,10 +237,12 @@ memberCause(const resilience::MemberFaultPlan &plan,
 }
 
 /**
- * The faulted execution path. Every *injected* fault decision is a
- * pure function of SeedSequence streams and the static batch plan
- * (virtual-time deadlines), so a faulted run — including its fault log
- * and degradation report — is bit-identical at any --jobs value.
+ * Run the ensemble members, faulted or not: with faults off the
+ * injector answers "no" everywhere and every member completes its
+ * share. Every *injected* fault decision is a pure function of
+ * SeedSequence streams and the static batch plan (virtual-time
+ * deadlines), so a faulted run — including its fault log and
+ * degradation report — is bit-identical at any --jobs value.
  *
  * The wall-clock watchdog is the one deliberately nondeterministic
  * input: live fires depend on real elapsed time. Determinism is
@@ -112,42 +252,42 @@ memberCause(const resilience::MemberFaultPlan &plan,
  * happened to execute out of order — and by recording fires so a
  * replay can force the identical cut through forcedWallAbandons.
  */
-ResilientOutcome
-runResilient(const hw::Device &device, const EdmConfig &config,
-             const std::vector<transpile::CompiledProgram> &programs,
-             const std::vector<std::shared_ptr<const sim::ExecutionTape>>
-                 &tapes,
-             const sim::Executor &executor,
-             const std::vector<std::uint64_t> &splits,
-             const SeedSequence &seq,
-             const runtime::JobScheduler &scheduler)
+MemberOutcome
+runMembers(const hw::Device &device, const EdmConfig &config,
+           const std::vector<transpile::CompiledProgram> &programs,
+           std::vector<std::shared_ptr<const sim::ExecutionTape>> tapes,
+           const std::vector<std::uint64_t> &splits,
+           const SeedSequence &seq,
+           const runtime::JobScheduler &scheduler)
 {
     const resilience::ResilienceConfig &res = config.resilience;
     const std::size_t count = programs.size();
     const resilience::FaultInjector injector(res.faults,
                                              seq.child(kStreamFaults));
+    sim::Executor executor(device);
+    executor.setSimBatch(config.simBatch);
 
     // Per-member fault plans. Stale members execute against their own
     // perturbed device snapshot (fresh tape, never cached).
     std::vector<resilience::MemberFaultPlan> plans(count);
-    std::vector<std::shared_ptr<const sim::ExecutionTape>> member_tapes =
-        tapes;
     std::vector<std::optional<sim::Executor>> stale_execs(count);
+    WaveContext ctx{config, scheduler, resilience::JournalStage::Members,
+                    {}, std::move(tapes), {}, &injector};
     for (std::size_t m = 0; m < count; ++m) {
+        ctx.roots.push_back(seq.child(m));
+        ctx.executors.push_back(&executor);
         plans[m] = injector.memberPlan(m, splits[m]);
         if (plans[m].stale) {
             Rng stale_rng(plans[m].staleSeed);
             const hw::Device stale = device.withStaleCalibration(
                 stale_rng, res.faults.stalenessSeverity);
-            member_tapes[m] = std::make_shared<const sim::ExecutionTape>(
+            ctx.tapes[m] = std::make_shared<const sim::ExecutionTape>(
                 sim::ExecutionTape::build(stale, programs[m].physical));
             stale_execs[m].emplace(stale);
             stale_execs[m]->setSimBatch(config.simBatch);
+            ctx.executors[m] = &*stale_execs[m];
         }
     }
-    const auto executorFor = [&](std::size_t m) -> const sim::Executor & {
-        return stale_execs[m] ? *stale_execs[m] : executor;
-    };
 
     // Wall-fire bookkeeping. wall_fire[m] is the canonical cut point:
     // the minimum batch index wall-abandoned for member m. Forced
@@ -163,13 +303,20 @@ runResilient(const hw::Device &device, const EdmConfig &config,
         wall_fire[w.member] = std::min(wall_fire[w.member], w.batch);
     }
     std::optional<runtime::Watchdog> watchdog;
-    if (res.wallDeadlineMs > 0.0)
-        watchdog.emplace(res.effectiveClock(), res.wallDeadlineMs, count);
+    if (res.wallDeadlineMs > 0.0) {
+        ctx.watchdog =
+            &watchdog.emplace(res.effectiveClock(), res.wallDeadlineMs,
+                              count);
+        ctx.wallFire = &wall_fire;
+    }
 
     // Static batch plan: deadline abandonment (cumulative virtual time
     // exceeding the member budget) and dropout truncation are decided
-    // up front, so the schedule is independent of execution order.
-    std::vector<ResilientUnit> units;
+    // up front, so the schedule is independent of execution order. The
+    // virtual clock belongs to the resilience model: a run whose
+    // ResilienceConfig is not active() ignores the member deadline.
+    const bool deadline = res.active() && res.memberDeadlineMs > 0.0;
+    std::vector<WorkUnit> units;
     std::vector<std::uint64_t> next_batch(count, 0);
     std::vector<std::uint64_t> abandon_batch(
         count, resilience::FaultEvent::kNoBatch);
@@ -181,8 +328,7 @@ runResilient(const hw::Device &device, const EdmConfig &config,
             const std::uint64_t batch_shots =
                 std::min(config.shotBatch, splits[m] - done);
             virtual_ms += injector.virtualBatchMs(plans[m], batch_shots);
-            if (res.memberDeadlineMs > 0.0 &&
-                virtual_ms > res.memberDeadlineMs) {
+            if (deadline && virtual_ms > res.memberDeadlineMs) {
                 if (abandon_batch[m] == resilience::FaultEvent::kNoBatch)
                     abandon_batch[m] = b;
                 continue;
@@ -195,103 +341,15 @@ runResilient(const hw::Device &device, const EdmConfig &config,
             if (plans[m].dropsOut &&
                 done + batch_shots > plans[m].dropoutTrial)
                 shots = plans[m].dropoutTrial - done;
-            units.push_back(ResilientUnit{m, b, shots});
+            units.push_back(WorkUnit{m, b, shots});
         }
         next_batch[m] = b;
     }
 
-    // Execute one wave of units; each unit owns the RNG stream keyed
-    // by (member, batch) and retries within its own result slot.
-    const runtime::RetryPolicy policy{res.retryMax + 1,
-                                      res.backoffBaseMs, 2.0,
-                                      res.backoffJitter};
-    const auto batchKey = [&](const ResilientUnit &unit) {
-        return resilience::BatchKey{
-            config.journalRound, resilience::JournalStage::Members,
-            static_cast<std::uint32_t>(unit.member), unit.batch};
-    };
-    std::mutex wall_mutex;
-    const auto runWave = [&](const std::vector<ResilientUnit> &wave,
-                             std::vector<UnitResult> &results) {
-        scheduler.parallelFor(wave.size(), [&](std::size_t u) {
-            const ResilientUnit &unit = wave[u];
-            if (config.replay != nullptr) {
-                // Crash resume: completed units restore their durable
-                // outcome instead of executing (no watchdog charge —
-                // that wall time was spent before the crash).
-                const resilience::BatchRecord *rec =
-                    config.replay->findBatch(batchKey(unit));
-                if (rec != nullptr) {
-                    results[u].counts = rec->counts;
-                    results[u].attempts = rec->attempts;
-                    results[u].exhausted = rec->exhausted;
-                    results[u].restored = true;
-                    return;
-                }
-            }
-            if (watchdog && watchdog->expired(unit.member)) {
-                // The member's wall budget is blown: abandon instead
-                // of executing. Which batch observes the fire first is
-                // racy; contributions are canonicalized to the minimum
-                // abandoned batch when waves are recorded, and the
-                // fire is journaled so replays can force the same cut.
-                results[u].abandoned = true;
-                const std::lock_guard<std::mutex> lock(wall_mutex);
-                if (unit.batch < wall_fire[unit.member]) {
-                    wall_fire[unit.member] = unit.batch;
-                    if (config.journal != nullptr) {
-                        config.journal->recordWallAbandon(
-                            config.journalRound,
-                            {unit.member, unit.batch});
-                    }
-                }
-                return;
-            }
-            const double start_ms =
-                watchdog ? watchdog->timeSource().nowMs() : 0.0;
-            const SeedSequence node =
-                seq.child(unit.member).child(unit.batch);
-            const runtime::RetryOutcome attempt_log =
-                runtime::retryWithBackoff(
-                    policy,
-                    [&](int attempt) {
-                        if (injector.transientFails(unit.member,
-                                                    unit.batch,
-                                                    attempt)) {
-                            throw runtime::TransientError(
-                                "injected transient batch failure");
-                        }
-                        Rng unit_rng = node.rng();
-                        const sim::Executor &exec =
-                            executorFor(unit.member);
-                        // A dropout-truncated unit runs only the trials
-                        // before the dropout: the first unit.shots
-                        // trials of the full batch's stream.
-                        results[u].counts =
-                            exec.run(*member_tapes[unit.member],
-                                     unit.shots, unit_rng);
-                    },
-                    res.effectiveClock(),
-                    node.child(kStreamRetryJitter));
-            if (watchdog) {
-                watchdog->charge(unit.member,
-                                 watchdog->timeSource().nowMs() - start_ms);
-            }
-            results[u].attempts = attempt_log.attempts;
-            results[u].exhausted = !attempt_log.succeeded;
-            if (config.journal != nullptr) {
-                config.journal->recordBatch(
-                    batchKey(unit),
-                    {results[u].attempts, results[u].exhausted,
-                     results[u].counts});
-            }
-        });
-    };
-
-    ResilientOutcome out;
+    MemberOutcome out;
     out.counts.reserve(count);
     for (std::size_t m = 0; m < count; ++m)
-        out.counts.emplace_back(member_tapes[m]->numClbits);
+        out.counts.emplace_back(ctx.tapes[m]->numClbits);
     std::vector<std::uint64_t> completed(count, 0);
     std::vector<int> retries(count, 0);
     resilience::DegradationReport &report = out.report;
@@ -301,10 +359,10 @@ runResilient(const hw::Device &device, const EdmConfig &config,
     // Units at or past a member's wall fire contribute nothing — not
     // counts, events, or retries — even when they executed before the
     // fire was observed, so the live cut matches the replayed one.
-    const auto recordWave = [&](const std::vector<ResilientUnit> &wave,
+    const auto recordWave = [&](const std::vector<WorkUnit> &wave,
                                 const std::vector<UnitResult> &results) {
         for (std::size_t u = 0; u < wave.size(); ++u) {
-            const ResilientUnit &unit = wave[u];
+            const WorkUnit &unit = wave[u];
             const UnitResult &r = results[u];
             if (r.abandoned || unit.batch >= wall_fire[unit.member])
                 continue;
@@ -352,9 +410,7 @@ runResilient(const hw::Device &device, const EdmConfig &config,
                  abandon_batch[m], -1});
         }
     }
-    std::vector<UnitResult> first(units.size());
-    runWave(units, first);
-    recordWave(units, first);
+    recordWave(units, runWave(ctx, units));
 
     // Degradation policy: a member that completed its full share is
     // healthy; anything else keeps its partial trials only above the
@@ -398,22 +454,14 @@ runResilient(const hw::Device &device, const EdmConfig &config,
     }
     const std::uint64_t deficit = budget - used;
     if (deficit > 0 && !full.empty()) {
-        std::vector<ResilientUnit> extra;
+        std::vector<WorkUnit> extra;
         const std::uint64_t base = deficit / full.size();
         const std::uint64_t rem = deficit % full.size();
         for (std::size_t i = 0; i < full.size(); ++i) {
-            const std::size_t m = full[i];
-            const std::uint64_t share = base + (i < rem ? 1 : 0);
-            for (std::uint64_t done = 0, b = next_batch[m]; done < share;
-                 done += config.shotBatch, ++b) {
-                const std::uint64_t batch_shots =
-                    std::min(config.shotBatch, share - done);
-                extra.push_back(ResilientUnit{m, b, batch_shots});
-            }
+            appendBatches(extra, full[i], base + (i < rem ? 1 : 0),
+                          config.shotBatch, next_batch[full[i]]);
         }
-        std::vector<UnitResult> extra_results(extra.size());
-        runWave(extra, extra_results);
-        recordWave(extra, extra_results);
+        recordWave(extra, runWave(ctx, extra));
         std::uint64_t used_after = 0;
         for (std::size_t m = 0; m < count; ++m) {
             if (out.kept[m])
@@ -500,9 +548,7 @@ EdmPipeline::run(const circuit::Circuit &logical,
                  const SeedSequence &seq) const
 {
     std::optional<runtime::JobScheduler> owned;
-    const runtime::JobScheduler *scheduler = config_.scheduler;
-    if (scheduler == nullptr)
-        scheduler = &owned.emplace(config_.jobs);
+    const runtime::JobScheduler &pool = schedulerFor(config_, owned);
 
     EnsembleConfig ensemble_config = config_.ensemble;
     ensemble_config.verifyPasses =
@@ -512,8 +558,8 @@ EdmPipeline::run(const circuit::Circuit &logical,
     // ensemble *expected to survive* still has the configured size.
     // Deliberate --fail-member injections are NOT over-provisioned —
     // they exist to watch a member fail and the survivors absorb its
-    // share; padding them away would defeat the experiment. The
-    // fault-free path leaves the config untouched (bit-identical).
+    // share; padding them away would defeat the experiment. A run
+    // with resilience off leaves the config untouched.
     if (config_.resilience.active())
         ensemble_config.expectedDropoutProb =
             config_.resilience.faults.dropoutProb;
@@ -522,8 +568,6 @@ EdmPipeline::run(const circuit::Circuit &logical,
         builder.build(logical);
     QEDM_ASSERT(!programs.empty(), "ensemble builder returned nothing");
 
-    sim::Executor executor(device_);
-    executor.setSimBatch(config_.simBatch);
     const std::vector<std::uint64_t> splits =
         splitShots(config_.totalShots, programs.size());
 
@@ -532,86 +576,24 @@ EdmPipeline::run(const circuit::Circuit &logical,
     // over the scheduler into pre-assigned slots.
     std::vector<std::shared_ptr<const sim::ExecutionTape>> tapes(
         programs.size());
-    scheduler->parallelFor(programs.size(), [&](std::size_t m) {
-        tapes[m] =
-            config_.tapeCache != nullptr
-                ? config_.tapeCache->get(device_, programs[m].physical)
-                : std::make_shared<const sim::ExecutionTape>(
-                      sim::ExecutionTape::build(device_,
-                                                programs[m].physical));
+    pool.parallelFor(programs.size(), [&](std::size_t m) {
+        tapes[m] = tapeFor(device_, config_, programs[m]);
     });
 
+    MemberOutcome out = runMembers(device_, config_, programs,
+                                   std::move(tapes), splits, seq, pool);
     EdmResult result;
-    std::vector<stats::Counts> member_counts;
-    std::vector<bool> kept_mask;
-    if (!config_.resilience.active()) {
-        // Fault-free fast path: fan (member, batch) units out over the
-        // scheduler. Each unit owns the RNG stream keyed by its
-        // coordinates and writes only its own slot, so the outcome is
-        // independent of scheduling order.
-        const std::vector<ShotUnit> units =
-            makeUnits(splits, config_.shotBatch);
-        std::vector<std::optional<stats::Counts>> unit_counts(
-            units.size());
-        scheduler->parallelFor(units.size(), [&](std::size_t u) {
-            const ShotUnit &unit = units[u];
-            const resilience::BatchKey key{
-                config_.journalRound, resilience::JournalStage::Members,
-                static_cast<std::uint32_t>(unit.member), unit.batch};
-            if (config_.replay != nullptr) {
-                const resilience::BatchRecord *rec =
-                    config_.replay->findBatch(key);
-                if (rec != nullptr) {
-                    QEDM_REQUIRE(rec->counts.has_value(),
-                                 "journal holds a lost batch for a "
-                                 "fault-free run");
-                    unit_counts[u] = rec->counts;
-                    return;
-                }
-            }
-            Rng unit_rng =
-                seq.child(unit.member).child(unit.batch).rng();
-            unit_counts[u] =
-                executor.run(*tapes[unit.member], unit.shots, unit_rng);
-            if (config_.journal != nullptr)
-                config_.journal->recordBatch(key,
-                                             {1, false, unit_counts[u]});
-        });
-
-        // Merge batches back per member in fixed (member, batch) order.
-        std::size_t u = 0;
-        for (std::size_t m = 0; m < programs.size(); ++m) {
-            QEDM_ASSERT(u < units.size() && units[u].member == m,
-                        "shot unit bookkeeping out of sync");
-            stats::Counts counts = std::move(*unit_counts[u]);
-            ++u;
-            while (u < units.size() && units[u].member == m) {
-                counts.merge(*unit_counts[u]);
-                ++u;
-            }
-            member_counts.push_back(std::move(counts));
-        }
-        kept_mask.assign(programs.size(), true);
-    } else {
-        ResilientOutcome out =
-            runResilient(device_, config_, programs, tapes, executor,
-                         splits, seq, *scheduler);
-        member_counts = std::move(out.counts);
-        kept_mask = std::move(out.kept);
-        result.degradation = std::move(out.report);
-    }
-
+    result.degradation = std::move(out.report);
     result.members.reserve(programs.size());
     for (std::size_t m = 0; m < programs.size(); ++m) {
         MemberResult member;
-        if (kept_mask[m]) {
-            member.shots = member_counts[m].total();
-            member.output = stats::Distribution::fromCounts(
-                member_counts[m]);
+        if (out.kept[m]) {
+            member.shots = out.counts[m].total();
+            member.output = stats::Distribution::fromCounts(out.counts[m]);
         } else {
             member.failed = true;
             member.output =
-                stats::Distribution::uniform(member_counts[m].width());
+                stats::Distribution::uniform(out.counts[m].width());
         }
         member.program = std::move(programs[m]);
         result.members.push_back(std::move(member));
@@ -677,45 +659,24 @@ EdmPipeline::runSingle(const transpile::CompiledProgram &program,
                        const SeedSequence &seq,
                        resilience::JournalStage stage) const
 {
+    // The same wave runner as the members, on one mapping whose
+    // stream root is @p seq itself: unit b draws from seq.child(b).
+    // No injector and no watchdog: a baseline run cannot fault.
     sim::Executor executor(device_);
     executor.setSimBatch(config_.simBatch);
-    const std::shared_ptr<const sim::ExecutionTape> tape =
-        config_.tapeCache != nullptr
-            ? config_.tapeCache->get(device_, program.physical)
-            : std::make_shared<const sim::ExecutionTape>(
-                  sim::ExecutionTape::build(device_, program.physical));
-
-    const std::vector<ShotUnit> units =
-        makeUnits({config_.totalShots}, config_.shotBatch);
-    std::vector<std::optional<stats::Counts>> unit_counts(units.size());
-
     std::optional<runtime::JobScheduler> owned;
-    const runtime::JobScheduler *scheduler = config_.scheduler;
-    if (scheduler == nullptr)
-        scheduler = &owned.emplace(config_.jobs);
-    scheduler->parallelFor(units.size(), [&](std::size_t u) {
-        const resilience::BatchKey key{config_.journalRound, stage, 0,
-                                       units[u].batch};
-        if (config_.replay != nullptr) {
-            const resilience::BatchRecord *rec =
-                config_.replay->findBatch(key);
-            if (rec != nullptr) {
-                QEDM_REQUIRE(rec->counts.has_value(),
-                             "journal holds a lost batch for a "
-                             "baseline run");
-                unit_counts[u] = rec->counts;
-                return;
-            }
-        }
-        Rng unit_rng = seq.child(units[u].batch).rng();
-        unit_counts[u] = executor.run(*tape, units[u].shots, unit_rng);
-        if (config_.journal != nullptr)
-            config_.journal->recordBatch(key, {1, false, unit_counts[u]});
-    });
+    const WaveContext ctx{config_,
+                          schedulerFor(config_, owned),
+                          stage,
+                          {seq},
+                          {tapeFor(device_, config_, program)},
+                          {&executor}};
+    std::vector<WorkUnit> units;
+    appendBatches(units, 0, config_.totalShots, config_.shotBatch, 0);
 
-    stats::Counts counts = std::move(*unit_counts.front());
-    for (std::size_t u = 1; u < unit_counts.size(); ++u)
-        counts.merge(*unit_counts[u]);
+    stats::Counts counts(ctx.tapes.front()->numClbits);
+    for (const UnitResult &r : runWave(ctx, units))
+        counts.merge(*r.counts);
     return stats::Distribution::fromCounts(counts);
 }
 

@@ -101,9 +101,9 @@ struct EdmConfig
     bool verifyPasses = check::kDefaultVerify;
     /**
      * Fault injection + graceful degradation (all-off by default).
-     * When inactive the pipeline compiles down to the original
-     * execution path: no injector, retry, or deadline bookkeeping
-     * exists on the hot path.
+     * Members run through the same shot-unit executor either way; with
+     * every fault source off, no unit fails, retries or is abandoned,
+     * and the result equals a plain run's.
      */
     resilience::ResilienceConfig resilience;
     /**

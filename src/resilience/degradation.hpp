@@ -13,9 +13,10 @@
  * and the full deterministic fault log — and is threaded up through
  * EdmResult / ExperimentSummary to the CLI.
  *
- * Everything here is bookkeeping: when ResilienceConfig::active() is
- * false the pipeline takes its original code path, with no injector,
- * no retry state, and no per-unit bookkeeping allocated at all.
+ * Everything here is bookkeeping. The pipeline runs every member
+ * through one shot-unit executor whether faults are on or off; with
+ * every fault source off nothing fails, so the report stays empty and
+ * the result equals a plain run's.
  */
 
 #pragma once
@@ -87,10 +88,10 @@ struct ResilienceConfig
     std::vector<WallAbandon> forcedWallAbandons;
 
     /**
-     * True when the resilient execution path must run. Faults are the
-     * only simulated failure source, but the wall watchdog and forced
-     * wall abandons also require per-unit bookkeeping, so any of the
-     * three routes execution through the resilient path.
+     * True when any resilience input is set: a fault source, a wall
+     * budget, or forced wall abandons. It decides whether a dropout
+     * probability sizes the ensemble, whether the member deadline
+     * binds, and whether the CLI prints degradation reports.
      */
     bool active() const
     {

@@ -47,11 +47,4 @@ retryWithBackoff(const RetryPolicy &policy,
     return outcome;
 }
 
-RetryOutcome
-retryWithBackoff(const RetryPolicy &policy,
-                 const std::function<void(int)> &body)
-{
-    return retryWithBackoff(policy, body, steadyClock(), SeedSequence(0));
-}
-
 } // namespace qedm::runtime

@@ -89,8 +89,4 @@ RetryOutcome retryWithBackoff(const RetryPolicy &policy,
                               const Clock &clock,
                               const SeedSequence &jitter);
 
-/** Legacy entry point: real clock, no jitter. */
-RetryOutcome retryWithBackoff(const RetryPolicy &policy,
-                              const std::function<void(int)> &body);
-
 } // namespace qedm::runtime

@@ -23,11 +23,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "benchmarks/benchmarks.hpp"
 #include "check/check.hpp"
+#include "common/error.hpp"
 #include "core/edm.hpp"
 #include "core/experiment.hpp"
 #include "hw/device.hpp"
@@ -644,6 +646,35 @@ TEST(JournalExperimentTest, ForeignJournalRefusesToResume)
                   check::CheckErrorKind::JournalFingerprintMismatch);
     }
     std::remove(path.c_str());
+}
+
+TEST(JournalExperimentTest, LostBatchIsRefusedWhereNoFaultCanLoseIt)
+{
+    // A lost (exhausted) batch can only come from an injected
+    // transient fault. A fault-free run's members and every baseline
+    // run cannot produce one, so a journal claiming one is corrupt or
+    // foreign input and resuming from it must be refused.
+    const BatchKey keys[] = {
+        {0, JournalStage::Members, 0, 0},
+        {0, JournalStage::BaselineEst, 0, 0},
+    };
+    for (const BatchKey &key : keys) {
+        const std::string path = tmpPath("exp_lost_batch.bin");
+        ExperimentConfig config = smallExperiment(1);
+        const hw::Device device = hw::Device::melbourne(kSeed);
+        {
+            Journal journal = Journal::create(
+                path, core::experimentFingerprint(
+                          device, benchmarks::bv6(), config, kSeed));
+            journal.recordBatch(key, {3, true, std::nullopt});
+        }
+        const JournalReplay replay = JournalReplay::load(path);
+        ASSERT_NE(replay.findBatch(key), nullptr);
+        config.replay = &replay;
+        EXPECT_THROW(runBv6(config), UserError)
+            << "stage " << static_cast<int>(key.stage);
+        std::remove(path.c_str());
+    }
 }
 
 // ---------------------------------------------------------------------

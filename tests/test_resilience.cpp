@@ -127,13 +127,15 @@ TEST(RetryTest, SucceedsAfterTransientFailures)
     runtime::RetryPolicy policy;
     policy.maxAttempts = 4;
     int calls = 0;
-    const auto outcome =
-        runtime::retryWithBackoff(policy, [&](int attempt) {
+    const auto outcome = runtime::retryWithBackoff(
+        policy,
+        [&](int attempt) {
             EXPECT_EQ(attempt, calls);
             ++calls;
             if (attempt < 2)
                 throw runtime::TransientError("flaky");
-        });
+        },
+        runtime::steadyClock(), SeedSequence(0));
     EXPECT_TRUE(outcome.succeeded);
     EXPECT_EQ(outcome.attempts, 3);
     EXPECT_EQ(outcome.retries(), 2);
@@ -144,9 +146,9 @@ TEST(RetryTest, ExhaustionNeverThrows)
 {
     runtime::RetryPolicy policy;
     policy.maxAttempts = 2;
-    const auto outcome = runtime::retryWithBackoff(policy, [](int) {
-        throw runtime::TransientError("always down");
-    });
+    const auto outcome = runtime::retryWithBackoff(
+        policy, [](int) { throw runtime::TransientError("always down"); },
+        runtime::steadyClock(), SeedSequence(0));
     EXPECT_FALSE(outcome.succeeded);
     EXPECT_EQ(outcome.attempts, 2);
     EXPECT_EQ(outcome.lastError, "always down");
@@ -156,7 +158,8 @@ TEST(RetryTest, PermanentErrorsPropagate)
 {
     runtime::RetryPolicy policy;
     EXPECT_THROW(runtime::retryWithBackoff(
-                     policy, [](int) { throw UserError("bad input"); }),
+                     policy, [](int) { throw UserError("bad input"); },
+                     runtime::steadyClock(), SeedSequence(0)),
                  UserError);
 }
 
@@ -165,9 +168,9 @@ TEST(RetryTest, BackoffScheduleIsDeterministic)
     runtime::RetryPolicy policy;
     policy.maxAttempts = 4;
     policy.backoffBaseMs = 0.0; // schedule computed, never slept
-    const auto outcome = runtime::retryWithBackoff(policy, [](int) {
-        throw runtime::TransientError("down");
-    });
+    const auto outcome = runtime::retryWithBackoff(
+        policy, [](int) { throw runtime::TransientError("down"); },
+        runtime::steadyClock(), SeedSequence(0));
     EXPECT_DOUBLE_EQ(outcome.totalBackoffMs, 0.0);
 }
 

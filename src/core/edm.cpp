@@ -313,9 +313,9 @@ runMembers(const hw::Device &device, const EdmConfig &config,
     // Static batch plan: deadline abandonment (cumulative virtual time
     // exceeding the member budget) and dropout truncation are decided
     // up front, so the schedule is independent of execution order. The
-    // virtual clock belongs to the resilience model: a run whose
-    // ResilienceConfig is not active() ignores the member deadline.
-    const bool deadline = res.active() && res.memberDeadlineMs > 0.0;
+    // virtual clock belongs to the resilience model; the constructor
+    // refuses a member deadline when that model is not active().
+    const bool deadline = res.memberDeadlineMs > 0.0;
     std::vector<WorkUnit> units;
     std::vector<std::uint64_t> next_batch(count, 0);
     std::vector<std::uint64_t> abandon_batch(
@@ -517,6 +517,14 @@ EdmPipeline::EdmPipeline(const hw::Device &device, EdmConfig config)
                  "retryMax must be non-negative");
     QEDM_REQUIRE(config_.resilience.memberDeadlineMs >= 0.0,
                  "memberDeadlineMs must be non-negative");
+    // The deadline bounds the resilience model's virtual clock, which
+    // runs only when that model is active; rather than ignore it,
+    // refuse it without a fault source, wall budget or forced abandon.
+    QEDM_REQUIRE(config_.resilience.memberDeadlineMs == 0.0 ||
+                     config_.resilience.active(),
+                 "memberDeadlineMs needs a fault source, a wall-clock "
+                 "budget or a forced abandon (--faults, --fail-member, "
+                 "--wall-deadline-ms)");
 }
 
 std::vector<std::uint64_t>

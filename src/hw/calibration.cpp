@@ -51,7 +51,15 @@ Calibration::sample(const Topology &topology, const CalibrationSpec &spec,
 Calibration
 Calibration::melbourne()
 {
-    const Topology topo = Topology::melbourne();
+    return melbourne(Topology::melbourne());
+}
+
+Calibration
+Calibration::melbourne(const Topology &topo)
+{
+    QEDM_REQUIRE(topo.numQubits() == 14 && topo.numEdges() == 18,
+                 "the melbourne calibration needs the melbourne "
+                 "topology");
     Calibration cal(topo);
 
     // Per-qubit tables modeled on typical ibmq-16-melbourne postings:
@@ -96,7 +104,8 @@ Calibration::melbourne()
     };
     for (const auto &er : edge_rows) {
         const int idx = topo.edgeIndex(er.a, er.b);
-        QEDM_ASSERT(idx >= 0, "melbourne edge table mismatch");
+        QEDM_REQUIRE(idx >= 0, "the melbourne calibration needs the "
+                               "melbourne topology");
         cal.edges_[idx].cxError = er.cx;
     }
     return cal;

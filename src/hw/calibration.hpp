@@ -70,6 +70,10 @@ class Calibration
      */
     static Calibration melbourne();
 
+    /** The same table for an already-built melbourne @p topology (it
+     *  must have melbourne's 14 qubits and 18 couplings). */
+    static Calibration melbourne(const Topology &topology);
+
     std::size_t numQubits() const { return qubits_.size(); }
     std::size_t numEdges() const { return edges_.size(); }
 

@@ -60,7 +60,7 @@ Device
 Device::melbourne(std::uint64_t noise_seed, const NoiseSpec &spec)
 {
     Topology topo = Topology::melbourne();
-    Calibration cal = Calibration::melbourne();
+    Calibration cal = Calibration::melbourne(topo);
     Rng rng(noise_seed);
     NoiseModel noise = NoiseModel::sample(topo, cal, spec, rng);
     return Device("ibmq-14-model", std::move(topo), std::move(cal),

@@ -15,35 +15,32 @@ Topology::Topology(int num_qubits,
 {
     QEDM_REQUIRE(num_qubits >= 1 && num_qubits <= kMaxQubits,
                  "topology qubit count must be in [1, 1024]");
-    adj_.assign(num_qubits, {});
-    std::set<std::pair<int, int>> seen;
+    // Normalize to a < b, then sort + unique: edges_ comes out in
+    // canonical (a, b) order, which also leaves every adjacency list
+    // below ascending by neighbor.
+    std::vector<std::pair<int, int>> pairs;
+    pairs.reserve(edges.size());
     for (auto [a, b] : edges) {
         QEDM_REQUIRE(a >= 0 && a < num_qubits && b >= 0 &&
                          b < num_qubits && a != b,
                      "invalid coupling edge");
         if (a > b)
             std::swap(a, b);
-        if (!seen.insert({a, b}).second)
-            continue;
-        edges_.push_back(Edge{a, b});
-        adj_[a].push_back(b);
-        adj_[b].push_back(a);
+        pairs.emplace_back(a, b);
     }
-    for (auto &nbrs : adj_)
-        std::sort(nbrs.begin(), nbrs.end());
-    std::sort(edges_.begin(), edges_.end(), [](const Edge &x,
-                                               const Edge &y) {
-        return std::pair(x.a, x.b) < std::pair(y.a, y.b);
-    });
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    edges_.reserve(pairs.size());
+    adj_.assign(static_cast<std::size_t>(num_qubits), {});
     adjEdge_.assign(static_cast<std::size_t>(num_qubits), {});
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-        adjEdge_[static_cast<std::size_t>(edges_[i].a)]
-            .emplace_back(edges_[i].b, static_cast<int>(i));
-        adjEdge_[static_cast<std::size_t>(edges_[i].b)]
-            .emplace_back(edges_[i].a, static_cast<int>(i));
+    for (const auto &[a, b] : pairs) {
+        const int idx = static_cast<int>(edges_.size());
+        edges_.push_back(Edge{a, b});
+        adj_[static_cast<std::size_t>(a)].push_back(b);
+        adj_[static_cast<std::size_t>(b)].push_back(a);
+        adjEdge_[static_cast<std::size_t>(a)].emplace_back(b, idx);
+        adjEdge_[static_cast<std::size_t>(b)].emplace_back(a, idx);
     }
-    for (auto &entries : adjEdge_)
-        std::sort(entries.begin(), entries.end());
     adjWords_ = (static_cast<std::size_t>(numQubits_) + 63) / 64;
     adjBits_.assign(static_cast<std::size_t>(numQubits_) * adjWords_,
                     0);
@@ -59,33 +56,44 @@ Topology::Topology(int num_qubits,
         computeDistances();
 }
 
-std::vector<int>
-Topology::bfsFrom(int src) const
+void
+Topology::bfsInto(int src, int *dist, int *queue) const
 {
-    std::vector<int> dist(static_cast<std::size_t>(numQubits_), -1);
-    std::queue<int> q;
-    dist[static_cast<std::size_t>(src)] = 0;
-    q.push(src);
-    while (!q.empty()) {
-        const int u = q.front();
-        q.pop();
+    std::fill(dist, dist + numQubits_, -1);
+    dist[src] = 0;
+    queue[0] = src;
+    for (int head = 0, tail = 1; head < tail; ++head) {
+        const int u = queue[head];
         for (int v : adj_[static_cast<std::size_t>(u)]) {
-            if (dist[static_cast<std::size_t>(v)] < 0) {
-                dist[static_cast<std::size_t>(v)] =
-                    dist[static_cast<std::size_t>(u)] + 1;
-                q.push(v);
+            if (dist[v] < 0) {
+                dist[v] = dist[u] + 1;
+                queue[tail++] = v;
             }
         }
     }
-    return dist;
+}
+
+const int *
+Topology::distanceRow(int src, std::vector<int> &scratch) const
+{
+    const auto n = static_cast<std::size_t>(numQubits_);
+    if (!dist_.empty())
+        return dist_.data() + static_cast<std::size_t>(src) * n;
+    // Distances in the first half, the BFS queue in the second.
+    scratch.resize(2 * n);
+    bfsInto(src, scratch.data(), scratch.data() + n);
+    return scratch.data();
 }
 
 void
 Topology::computeDistances()
 {
-    dist_.reserve(static_cast<std::size_t>(numQubits_));
+    const auto n = static_cast<std::size_t>(numQubits_);
+    dist_.resize(n * n);
+    std::vector<int> queue(n);
     for (int src = 0; src < numQubits_; ++src)
-        dist_.push_back(bfsFrom(src));
+        bfsInto(src, dist_.data() + static_cast<std::size_t>(src) * n,
+                queue.data());
 }
 
 bool
@@ -119,9 +127,8 @@ Topology::distance(int a, int b) const
 {
     QEDM_REQUIRE(a >= 0 && a < numQubits_ && b >= 0 && b < numQubits_,
                  "qubit index out of range");
-    if (!dist_.empty())
-        return dist_[a][b];
-    return bfsFrom(a)[static_cast<std::size_t>(b)];
+    std::vector<int> scratch;
+    return distanceRow(a, scratch)[b];
 }
 
 std::vector<int>
@@ -131,15 +138,15 @@ Topology::shortestPath(int a, int b) const
                  "qubit index out of range");
     // One BFS row from b serves every step of the walk; on small
     // devices the eager matrix already holds it.
-    const std::vector<int> to_b = dist_.empty() ? bfsFrom(b) : dist_[b];
-    if (to_b[static_cast<std::size_t>(a)] < 0)
+    std::vector<int> scratch;
+    const int *to_b = distanceRow(b, scratch);
+    if (to_b[a] < 0)
         return {};
     std::vector<int> path{a};
     int cur = a;
     while (cur != b) {
         for (int v : adj_[cur]) {
-            if (to_b[static_cast<std::size_t>(v)] ==
-                to_b[static_cast<std::size_t>(cur)] - 1) {
+            if (to_b[v] == to_b[cur] - 1) {
                 cur = v;
                 path.push_back(v);
                 break;
@@ -152,10 +159,10 @@ Topology::shortestPath(int a, int b) const
 bool
 Topology::isConnected() const
 {
-    const std::vector<int> from_zero =
-        dist_.empty() ? bfsFrom(0) : dist_[0];
+    std::vector<int> scratch;
+    const int *from_zero = distanceRow(0, scratch);
     for (int q = 1; q < numQubits_; ++q) {
-        if (from_zero[static_cast<std::size_t>(q)] < 0)
+        if (from_zero[q] < 0)
             return false;
     }
     return true;

@@ -143,7 +143,12 @@ class Topology
 
   private:
     void computeDistances();
-    std::vector<int> bfsFrom(int src) const;
+    /** Hop distances from @p src into @p dist (numQubits() entries,
+     *  -1 = unreachable); @p queue is numQubits() entries of scratch. */
+    void bfsInto(int src, int *dist, int *queue) const;
+    /** Hop distances from @p src: a row of the eager matrix, or a
+     *  fresh BFS held in @p scratch on large devices. */
+    const int *distanceRow(int src, std::vector<int> &scratch) const;
 
     int numQubits_;
     std::vector<Edge> edges_;
@@ -153,8 +158,9 @@ class Topology
     /** Flat adjacency bitset: numQubits rows of adjWords_ words. */
     std::vector<std::uint64_t> adjBits_;
     std::size_t adjWords_ = 0;
-    /** All-pairs hop distances; empty above kEagerDistanceMaxQubits. */
-    std::vector<std::vector<int>> dist_;
+    /** All-pairs hop distances, row-major (numQubits rows of
+     *  numQubits); empty above kEagerDistanceMaxQubits. */
+    std::vector<int> dist_;
 };
 
 } // namespace qedm::hw

@@ -90,8 +90,9 @@ struct ResilienceConfig
     /**
      * True when any resilience input is set: a fault source, a wall
      * budget, or forced wall abandons. It decides whether a dropout
-     * probability sizes the ensemble, whether the member deadline
-     * binds, and whether the CLI prints degradation reports.
+     * probability sizes the ensemble, whether a member deadline is
+     * accepted (EdmPipeline refuses one otherwise), and whether the
+     * CLI prints degradation reports.
      */
     bool active() const
     {

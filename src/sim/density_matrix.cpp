@@ -102,17 +102,84 @@ applyJointFlip(stats::Distribution &dist, int bit_a, int bit_b, double p)
 }
 
 /**
- * Basis-state probabilities of the tape's local register. Each qubit
- * keeps one pending superoperator that absorbs its 1-qubit gates,
- * kicks and channels in order; it reaches the matrix only when a
- * 2-qubit op needs the qubit, or at the end. Pending channels on
- * different qubits commute, so deferring them is exact.
+ * The connected components of the tape's 2-qubit interaction graph.
+ * Each local qubit maps to a component and to its index inside that
+ * component's register; a component lists its qubits ascending, so
+ * local index s of component c is bit s of c's basis states.
+ */
+struct Components
+{
+    std::vector<int> of;                 ///< component of each qubit
+    std::vector<int> slot;               ///< index inside it
+    std::vector<std::vector<int>> qubits; ///< qubits of each, ascending
+};
+
+Components
+interactionComponents(const ExecutionTape &tape)
+{
+    const auto n = static_cast<std::size_t>(tape.numLocal);
+    std::vector<int> parent(n);
+    for (std::size_t q = 0; q < n; ++q)
+        parent[q] = static_cast<int>(q);
+    const auto find = [&](int q) {
+        while (parent[static_cast<std::size_t>(q)] != q) {
+            auto &up = parent[static_cast<std::size_t>(q)];
+            up = parent[static_cast<std::size_t>(up)]; // path halving
+            q = up;
+        }
+        return q;
+    };
+    for (const TapeOp &op : tape.ops) {
+        if (op.l1 >= 0)
+            parent[static_cast<std::size_t>(find(op.l0))] = find(op.l1);
+    }
+    Components c;
+    c.of.assign(n, 0);
+    c.slot.assign(n, 0);
+    std::vector<int> id_of_root(n, -1);
+    for (std::size_t q = 0; q < n; ++q) {
+        int &id = id_of_root[static_cast<std::size_t>(
+            find(static_cast<int>(q)))];
+        if (id < 0) {
+            id = static_cast<int>(c.qubits.size());
+            c.qubits.emplace_back();
+        }
+        auto &members = c.qubits[static_cast<std::size_t>(id)];
+        c.of[q] = id;
+        c.slot[q] = static_cast<int>(members.size());
+        members.push_back(static_cast<int>(q));
+    }
+    return c;
+}
+
+/**
+ * Basis-state probabilities of the tape's local register. Only 2-qubit
+ * ops couple qubits (crosstalk is a 1-qubit kick on the spectator and
+ * correlated readout acts on the classical table), so the state stays
+ * a product over the interaction components: each component evolves
+ * its own density matrix and the register's diagonal is the product
+ * of theirs. Each qubit keeps one pending superoperator that absorbs
+ * its 1-qubit gates, kicks and channels in order; it reaches its
+ * component's matrix only when a 2-qubit op needs the qubit, or at the
+ * end. Pending channels on different qubits commute, so deferring them
+ * is exact.
  */
 std::vector<double>
 evolveTape(const ExecutionTape &tape)
 {
     const auto n = static_cast<std::size_t>(tape.numLocal);
-    DensityMatrix rho(tape.numLocal);
+    const Components comp = interactionComponents(tape);
+    std::vector<DensityMatrix> rhos;
+    rhos.reserve(comp.qubits.size());
+    for (const auto &members : comp.qubits)
+        rhos.emplace_back(static_cast<int>(members.size()));
+    const auto rhoOf = [&](int q) -> DensityMatrix & {
+        return rhos[static_cast<std::size_t>(
+            comp.of[static_cast<std::size_t>(q)])];
+    };
+    const auto slotOf = [&](int q) {
+        return comp.slot[static_cast<std::size_t>(q)];
+    };
     std::vector<Superop1q> pending(n);
     std::vector<char> dirty(n, 0);
     const auto queue = [&](const Superop1q &s, int q) {
@@ -123,7 +190,7 @@ evolveTape(const ExecutionTape &tape)
     const auto flush = [&](int q) {
         const auto i = static_cast<std::size_t>(q);
         if (dirty[i]) {
-            rho.applySuperop1q(pending[i], q);
+            rhoOf(q).applySuperop1q(pending[i], slotOf(q));
             dirty[i] = 0;
         }
     };
@@ -157,7 +224,8 @@ evolveTape(const ExecutionTape &tape)
                 else
                     queue(superopOf(k), spectator);
             }
-            rho.apply2qDepolarizing(u, op.depolProb, op.l0, op.l1);
+            rhoOf(op.l0).apply2qDepolarizing(u, op.depolProb,
+                                             slotOf(op.l0), slotOf(op.l1));
         }
         for (const auto &[local, kraus] : op.relaxation)
             queue(superopOf(kraus), local);
@@ -168,7 +236,24 @@ evolveTape(const ExecutionTape &tape)
     }
     for (int q = 0; q < tape.numLocal; ++q)
         flush(q);
-    return rho.probabilities();
+
+    std::vector<std::vector<double>> diags;
+    diags.reserve(rhos.size());
+    for (const DensityMatrix &rho : rhos)
+        diags.push_back(rho.probabilities());
+    std::vector<double> probs(std::size_t(1) << n);
+    for (std::size_t basis = 0; basis < probs.size(); ++basis) {
+        double p = 1.0;
+        for (std::size_t c = 0; c < diags.size(); ++c) {
+            std::size_t index = 0;
+            const auto &members = comp.qubits[c];
+            for (std::size_t s = 0; s < members.size(); ++s)
+                index |= ((basis >> members[s]) & 1) << s;
+            p *= diags[c][index];
+        }
+        probs[basis] = p;
+    }
+    return probs;
 }
 
 } // namespace

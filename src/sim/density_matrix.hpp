@@ -16,7 +16,11 @@
  * exactOutcomes() runs a whole ExecutionTape through these kernels and
  * folds the classical readout channels in; it is the one exact engine
  * behind ExecutionTape's stored sampling table and
- * Executor::exactDistribution (DESIGN.md §8).
+ * Executor::exactDistribution (DESIGN.md §8). Only 2-qubit ops couple
+ * qubits, so it evolves one density matrix per connected component of
+ * the tape's 2-qubit interaction graph and takes the register's basis
+ * probabilities as the product of the components' diagonals: a bv-6
+ * tape (7 active qubits, components 5+1+1) costs a 5-qubit evolution.
  */
 
 #pragma once
@@ -105,15 +109,16 @@ class DensityMatrix
 };
 
 /**
- * Exact classical-outcome distribution of @p tape: the density matrix
- * evolved through every op with every channel applied in full
- * (1-qubit runs fused per qubit, each 2-qubit op and its depolarizing
- * channel in one pass), projected onto the measured clbits, then the
- * readout confusion of @p cal and the tape's correlated pair flips.
+ * Exact classical-outcome distribution of @p tape: one density matrix
+ * per interaction component, evolved through every op with every
+ * channel applied in full (1-qubit runs fused per qubit, each 2-qubit
+ * op and its depolarizing channel in one pass), the product of their
+ * diagonals projected onto the measured clbits, then the readout
+ * confusion of @p cal and the tape's correlated pair flips.
  *
- * Hard limit: at most 10 *active* qubits (the density matrix is dense
- * over 4^n entries). Exceeding it throws UserError with the offending
- * count.
+ * Hard limit: at most 10 *active* qubits (one component may span
+ * them all, and its density matrix is dense over 4^n entries).
+ * Exceeding it throws UserError with the offending count.
  */
 ExactOutcomes exactOutcomes(const ExecutionTape &tape,
                             const hw::Calibration &cal);

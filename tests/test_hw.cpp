@@ -192,6 +192,11 @@ TEST(Calibration, MelbourneTableProperties)
     // T2 <= 2 T1 physical constraint.
     for (int q = 0; q < 14; ++q)
         EXPECT_LE(cal.qubit(q).t2Us, 2.0 * cal.qubit(q).t1Us);
+    // The overload over a prebuilt topology gives the same table, and
+    // only for the melbourne shape.
+    EXPECT_EQ(Calibration::melbourne(Topology::melbourne()).fingerprint(),
+              cal.fingerprint());
+    EXPECT_THROW(Calibration::melbourne(Topology::ring(14)), UserError);
 }
 
 TEST(Calibration, SampleRespectsSpread)

@@ -511,6 +511,20 @@ TEST(ResilientPipelineTest, DeadlineAbandonsSlowMembers)
     EXPECT_EQ(result.degradation.trialsReassigned, 0u);
 }
 
+TEST(ResilientPipelineTest, MemberDeadlineNeedsActiveResilience)
+{
+    // Without a fault source, wall budget or forced abandon there is no
+    // virtual clock for the deadline to bound: refuse it.
+    ResilienceConfig resilience;
+    resilience.memberDeadlineMs = 1.0;
+    EXPECT_THROW(runFaulted(resilience, 1), UserError);
+    // With a (never-firing) wall budget the same deadline binds and
+    // abandons every member before its first batch.
+    resilience.wallDeadlineMs = 1e9;
+    EXPECT_THROW(runFaulted(resilience, 1),
+                 resilience::EnsembleFailedError);
+}
+
 TEST(ResilientPipelineTest, RetryExhaustionAppearsInReport)
 {
     ResilienceConfig resilience;

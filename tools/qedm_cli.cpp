@@ -36,7 +36,9 @@
  *   --fail-member <m>            force member m to drop out (repeat
  *                                for several members)
  *   --retry-max <n>              retries per shot batch (default 2)
- *   --member-deadline-ms <ms>    virtual-time budget per member
+ *   --member-deadline-ms <ms>    virtual-time budget per member;
+ *                                needs --faults, --fail-member or
+ *                                --wall-deadline-ms
  *   --min-trials-per-member <n>  keep floor for partial results
  * Fault schedules are a pure function of the seed and the fault
  * config, so a faulted run replays bit-identically at any --jobs.
@@ -450,6 +452,22 @@ cmdExperiment(const std::string &name, std::uint64_t seed, int jobs,
     return 0;
 }
 
+/** Positionals @p cmd reads, the command itself included (see the
+ *  file comment); 0 for an unknown command. */
+std::size_t
+positionalsRead(const std::string &cmd)
+{
+    if (cmd == "list")
+        return 1;
+    if (cmd == "show")
+        return 2;
+    if (cmd == "compile" || cmd == "candidates" || cmd == "experiment")
+        return 3;
+    if (cmd == "run")
+        return 4;
+    return 0;
+}
+
 int
 usage()
 {
@@ -543,6 +561,14 @@ main(int argc, char **argv)
         if (pos.empty())
             return usage();
         const std::string cmd = pos[0];
+        const std::size_t reads = positionalsRead(cmd);
+        if (reads > 0 && pos.size() > reads) {
+            throw qedm::UserError(
+                "`" + cmd + "` takes at most " +
+                std::to_string(reads - 1) +
+                " argument(s) after the command; unexpected `" +
+                pos[reads] + "`");
+        }
         const std::string name = pos.size() > 1 ? pos[1] : "";
         const std::uint64_t seed =
             pos.size() > 2 ? std::strtoull(pos[2].c_str(), nullptr, 10)
